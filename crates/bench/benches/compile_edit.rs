@@ -1,5 +1,5 @@
 //! Edit-turnaround cost: cold recompile + re-embed vs the incremental
-//! path (spliced compile + seeded chain repair) for the same one-gate
+//! path (incremental compile + seeded chain repair) for the same one-gate
 //! edit. The pair is the criterion-side view of the `experiments edit`
 //! table and the `qac_bench_incremental_speedup` gauge BENCH_pr9 pins.
 

@@ -15,7 +15,7 @@
 //! embedding; the ratio is published as
 //! `qac_bench_incremental_speedup{workload=...}` on the global recorder
 //! so CI can pin an absolute floor on it, alongside the `qac_incr_*`
-//! skip/splice/re-embed counters the warm path increments.
+//! skip/re-embed counters the warm path increments.
 
 use std::time::Instant;
 
@@ -117,7 +117,8 @@ fn measure(workload: &'static str, source: &str, top: &str) -> Row {
     let cold_us = start.elapsed().as_secs_f64() * 1e6;
     assert!(cold_embedding.validate(&cold_edges, &hardware));
 
-    // Warm: splice the compile, rip up only the dirtied chains.
+    // Warm: recompile reusing clean proofs, rip up only the dirtied
+    // chains.
     let start = Instant::now();
     let (warm, report) =
         compile_netlist_incremental(&prev, edited, &options).expect("warm compile succeeds");
@@ -181,7 +182,9 @@ fn measure(workload: &'static str, source: &str, top: &str) -> Row {
 /// Runs the edit-recompile loop measurement and prints the table.
 pub fn run_edit() {
     println!("== edit: incremental recompile + partial re-embed vs cold ==");
-    println!("(one-gate edit; cold = compile + embed from scratch, warm = splice + chain repair)");
+    println!(
+        "(one-gate edit; cold = compile + embed from scratch, warm = incremental compile + chain repair)"
+    );
     println!();
     let rows: Vec<Row> = WORKLOADS
         .iter()

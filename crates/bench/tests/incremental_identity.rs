@@ -12,11 +12,12 @@
 //! panicking, so the reproduction is as small as the bug allows.
 //!
 //! `incremental_dispositions_match_golden` additionally pins *which*
-//! stages skip, splice, and re-run for a canonical one-gate edit (and a
-//! whitespace-only source edit) — an accidental loss of incrementality
-//! keeps artifacts identical, so only a disposition fixture can catch
-//! it. Update deliberately with `QAC_UPDATE_GOLDEN=1 cargo test -p
-//! qac-bench --test incremental_identity`.
+//! stages skip, re-run, and reuse certificate obligations for a
+//! canonical one-gate edit (and a whitespace-only source edit) — an
+//! accidental loss of incrementality keeps artifacts identical, so only
+//! a disposition fixture can catch it. Update deliberately with
+//! `QAC_UPDATE_GOLDEN=1 cargo test -p qac-bench --test
+//! incremental_identity`.
 
 use qac_bench::{AUSTRALIA, CIRCSAT, COUNTER, FIGURE2, MULT};
 use qac_core::{
@@ -218,8 +219,8 @@ fn random_edits_stay_byte_identical_across_the_corpus() {
 fn warm_chain_of_single_edits_stays_byte_identical() {
     // Edit → recompile → edit again, reusing each warm result as the
     // next seed (the editor loop DESIGN.md §14 actually serves): the
-    // IncrState carried by a spliced compile must be as good a seed as
-    // a cold one's.
+    // IncrState carried by a warm compile must be as good a seed as a
+    // cold one's.
     let options = CompileOptions::default();
     let mut rng = StdRng::seed_from_u64(0xcafe);
     let base = compile(FIGURE2, "circuit", &options).unwrap().netlist;
@@ -286,8 +287,6 @@ fn disposition_fixture() -> String {
         "edit figure2 swap-gate cell {cell} {cold_kind}->{swapped}\n"
     ));
     out.push_str(&format!("full_rebuild {}\n", report.full_rebuild));
-    out.push_str(&format!("changed_cells {:?}\n", report.changed_cells));
-    out.push_str(&format!("dirty_cone {:?}\n", report.dirty_cone));
     for (stage, disposition) in &report.stages {
         out.push_str(&format!("stage {stage} {disposition}\n"));
     }
@@ -318,11 +317,10 @@ fn disposition_fixture() -> String {
         out.push_str(&format!("stage {stage} {disposition}\n"));
     }
 
-    // A symmetric input swap at opt level 0 (mirroring the core
-    // `symmetric_input_swap_replays_the_analyzer` unit test): the QMASM
-    // text changes, so parse and assemble re-run, but the assembled
-    // model is content-identical — the analysis content key matches and
-    // the analyzer replays its previous report instead of re-linting.
+    // A symmetric input swap at opt level 0: the QMASM text changes, so
+    // the whole back end re-runs even though the assembled model is
+    // content-identical; certification reuses the untouched cones'
+    // proofs.
     let options = CompileOptions {
         opt_level: 0,
         ..CompileOptions::default()

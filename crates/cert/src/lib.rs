@@ -30,7 +30,7 @@
 //! Certificates are deterministic: obligations are emitted in sorted
 //! (stage, site, variable) order by [`CompileCertificate::finalize`], so
 //! the rendered JSON is byte-identical regardless of thread count or
-//! compile path (cold, incremental splice, replay).
+//! compile path (cold, incremental with reused obligations, replay).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

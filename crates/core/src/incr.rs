@@ -3,53 +3,35 @@
 //!
 //! Every compile records an [`IncrState`] on its [`Compiled`] result:
 //! deterministic FNV content keys for the source text, the input
-//! netlist, the option set, and the optimized netlist, plus the
-//! per-cell QMASM blocks the generator concatenated. A later
-//! [`compile_incremental`] call compares keys outer-to-inner and stops
-//! re-running stages at the first match:
+//! netlist, the option set, and the unrolled and optimized netlists. A
+//! later [`compile_incremental`] call compares keys outer-to-inner:
 //!
 //! * options changed → full rebuild (every stage key includes the
 //!   option set, so nothing is reusable);
 //! * source text identical → every stage replays its cached artifact;
-//! * optimized netlist identical (e.g. a comment or whitespace edit) →
-//!   the front end re-runs, the whole back end replays;
-//! * otherwise the EDIF round trip re-runs (it is behavioral, not an
-//!   identity), the post-EDIF netlists are diffed cell-by-cell, and QMASM
-//!   generation and assembly splice: artifacts derived from cells outside
-//!   the dirty cone are copied from the previous compile, only the cone
-//!   is regenerated. Spliced artifacts are byte-identical to a cold
-//!   compile by construction — the property tests in `qac-bench` enforce
-//!   exactly that.
+//! * otherwise the shared compile driver runs with the previous compile
+//!   in hand. When the optimized netlist is unchanged (e.g. a comment or
+//!   whitespace edit) the front end re-runs and the whole back end
+//!   replays; otherwise the back end runs as in a cold compile, and the
+//!   `certify` stage reuses every obligation whose cone fingerprint held
+//!   still. The result is byte-identical to a cold compile — the
+//!   property tests in `qac-bench` enforce exactly that.
 //!
-//! Fallback rules: an incomparable diff (different cell count, renamed
-//! module, changed ports or constants) falls back to full stage re-runs;
-//! assembly splicing additionally requires unchanged macros and an
-//! unchanged symbol-interning sequence ([`qac_qmasm::assemble_incremental`]
-//! verifies both and reports `None` when they fail). The `analyze` stage
-//! is global, so it replays only when its entire input (assembled model
-//! and program) is unchanged.
-//!
-//! Observability: skipped stages appear in the [`Trace`](crate::Trace)
-//! with a `cached` mark and zero duration, emit `stage_skip` flight
-//! events tagged with the current trace id, and bump
-//! `qac_incr_stage_hit_total`; re-run stages bump
-//! `qac_incr_stage_miss_total`.
+//! Observability: the [`IncrementalReport`] is read off the run's
+//! [`Trace`](crate::Trace). Skipped stages appear there with a `cached`
+//! mark and zero duration, emit `stage_skip` flight events tagged with
+//! the current trace id, and bump `qac_incr_stage_hit_total`; re-run
+//! stages bump `qac_incr_stage_miss_total`.
 
-use qac_analysis::AnalysisReport;
-use qac_gatesynth::CellLibrary;
-use qac_netlist::{CellId, Fnv, Netlist};
-use qac_qmasm::{assemble, assemble_incremental, AssembleOptions, Assembled, MapIncludes, Program};
+use qac_netlist::{Fnv, Netlist};
+use qac_qmasm::Assembled;
 
-use crate::pipeline::{
-    analysis_options_for, build_stats, expected_ground_energy_of, AnalyzeStage, EdifReadStage,
-    EdifWriteStage, OptimizeStage, QmasmGenStage, QmasmParseStage, UnrollStage, VerilogStage,
-};
-use crate::qmasm_gen::{netlist_to_qmasm_spliced, GenOutput};
-use crate::stage::{Session, Stage};
+use crate::pipeline::{compile_netlist_from, compile_source, CertReuse};
+use crate::stage::Session;
 use crate::{CompileError, CompileOptions, Compiled};
 
-/// Content keys and reuse units recorded on every [`Compiled`], consumed
-/// by [`compile_incremental`] to decide which stages can be skipped.
+/// Content keys recorded on every [`Compiled`], consumed by
+/// [`compile_incremental`] to decide which stages can be skipped.
 #[derive(Debug, Clone)]
 pub struct IncrState {
     /// Key of the Verilog source + top module (`None` for the netlist
@@ -70,13 +52,6 @@ pub struct IncrState {
     /// Structural key of the optimized netlist, taken just before the
     /// EDIF round trip: a match here proves the whole back end reusable.
     pub(crate) optimized_key: u64,
-    /// Key of everything the `analyze` stage reads (assembled model,
-    /// macro definitions and use-sites, expected ground energy): a match
-    /// lets the analyzer replay even when the program text moved.
-    pub(crate) analysis_key: u64,
-    /// The per-cell QMASM net-section blocks, the splice unit for
-    /// incremental generation.
-    pub(crate) cell_blocks: Vec<String>,
 }
 
 /// What [`compile_incremental`] did with one stage.
@@ -86,13 +61,13 @@ pub enum StageDisposition {
     Skipped,
     /// The stage re-ran from scratch.
     Full,
-    /// The stage re-ran over the dirty cone only, splicing the rest from
-    /// the previous compile's artifact.
+    /// The stage re-ran, reusing part of the previous compile's
+    /// artifact: `certify` copies the obligations whose reuse keys held
+    /// still and re-proves the rest.
     Spliced {
-        /// Reused units (cells for `qmasm-gen`, top-level statements for
-        /// `assemble`).
+        /// Obligations copied from the previous certificate.
         reused: usize,
-        /// Regenerated units.
+        /// Obligations proved afresh.
         redone: usize,
     },
 }
@@ -114,14 +89,8 @@ impl std::fmt::Display for StageDisposition {
 pub struct IncrementalReport {
     /// `(stage name, disposition)` in execution order.
     pub stages: Vec<(String, StageDisposition)>,
-    /// Cells whose structural hash changed between the previous and new
-    /// optimized netlists (empty when the diff never ran).
-    pub changed_cells: Vec<CellId>,
-    /// The changed cells closed over the fan-out table — the logic cone
-    /// whose derived artifacts were regenerated.
-    pub dirty_cone: Vec<CellId>,
-    /// True when nothing at all was reusable (changed options or an
-    /// incomparable netlist).
+    /// True when the option set changed, so nothing was reusable and the
+    /// cold pipeline ran.
     pub full_rebuild: bool,
 }
 
@@ -169,80 +138,6 @@ pub(crate) fn options_key(options: &CompileOptions) -> u64 {
     h.finish()
 }
 
-/// Content key of everything the `analyze` stage consumes: the
-/// assembled model (terms, symbols, pins, asserts, chain bookkeeping),
-/// the macro definitions and use-sites the unused-macro pass walks, and
-/// the expected ground energy fed to the audit passes. Textual program
-/// changes that leave all of these alone (e.g. net renumbering) replay
-/// the analyzer.
-pub(crate) fn analysis_key(assembled: &Assembled, program: &Program, expected: f64) -> u64 {
-    let mut h = Fnv::new();
-    h.write_usize(assembled.ising.num_vars());
-    for (i, v) in assembled.ising.h_iter() {
-        h.write_usize(i);
-        h.write_u64(v.to_bits());
-    }
-    for term in assembled.ising.j_iter() {
-        h.write_usize(term.i);
-        h.write_usize(term.j);
-        h.write_u64(term.value.to_bits());
-    }
-    h.write_u64(assembled.ising.offset().to_bits());
-    for name in assembled.symbols.names() {
-        h.write_str(name);
-    }
-    for (name, value) in &assembled.pins {
-        h.write_str(name);
-        h.write_u64(u64::from(*value));
-    }
-    h.write_str(&format!("{:?}", assembled.asserts));
-    h.write_u64(assembled.chain_strength.to_bits());
-    h.write_usize(assembled.num_chain_couplings);
-    let mut macros: Vec<(&String, &Vec<qac_qmasm::Statement>)> = program.macros.iter().collect();
-    macros.sort_by_key(|&(name, _)| name);
-    for (name, body) in macros {
-        h.write_str(name);
-        h.write_str(&format!("{body:?}"));
-    }
-    for statement in &program.statements {
-        if let qac_qmasm::Statement::UseMacro { name, instances } = statement {
-            h.write_str(name);
-            h.write_usize(instances.len());
-        }
-    }
-    h.write_u64(expected.to_bits());
-    h.finish()
-}
-
-const MISS_COUNTER: &str = "qac_incr_stage_miss_total";
-
-fn count_miss(n: u64) {
-    qac_telemetry::global().counter_add(MISS_COUNTER, n);
-}
-
-/// Runs a stage that could not be skipped, accounting the miss.
-fn run_miss<S: Stage>(
-    session: &mut Session,
-    report: &mut IncrementalReport,
-    stage: &S,
-    input: S::Input,
-) -> Result<S::Output, CompileError> {
-    count_miss(1);
-    report
-        .stages
-        .push((stage.name().to_string(), StageDisposition::Full));
-    session.run(stage, input)
-}
-
-/// Replays a skipped stage: cached-artifact bookkeeping only.
-fn skip_stage(session: &mut Session, report: &mut IncrementalReport, prev: &Compiled, name: &str) {
-    let size = prev.trace.get(name).map_or(0, |s| s.output_size);
-    session.skip_named(name, size);
-    report
-        .stages
-        .push((name.to_string(), StageDisposition::Skipped));
-}
-
 /// Recompiles `source` against the previous compile `prev`, re-running
 /// only the stages whose content keys moved. The returned [`Compiled`]
 /// is byte-identical (artifact-wise) to what a cold
@@ -260,26 +155,16 @@ pub fn compile_incremental(
 ) -> Result<(Compiled, IncrementalReport), CompileError> {
     let _span = qac_telemetry::global().span("compile");
     if options_key(options) != prev.incr.options_key {
-        return full_rebuild(|| crate::pipeline::compile(source, top, options));
+        return Ok(report(compile_source(source, top, options, None)?, true));
     }
     let source_key = source_fingerprint(source, top);
     if prev.incr.source_key == Some(source_key) {
         return Ok(replay_all(prev, options, Some(source_key), None));
     }
-    let mut session = Session::new();
-    let mut report = IncrementalReport::default();
-    let netlist = run_miss(&mut session, &mut report, &VerilogStage { source, top }, ())?;
-    let verilog_lines = source.lines().filter(|l| !l.trim().is_empty()).count();
-    backend(
-        session,
-        report,
-        prev,
-        netlist,
-        verilog_lines,
-        options,
-        Some(source_key),
-        None,
-    )
+    Ok(report(
+        compile_source(source, top, options, Some(prev))?,
+        false,
+    ))
 }
 
 /// [`compile_incremental`] for the netlist entry point: the front-end
@@ -294,44 +179,16 @@ pub fn compile_netlist_incremental(
 ) -> Result<(Compiled, IncrementalReport), CompileError> {
     let _span = qac_telemetry::global().span("compile");
     if options_key(options) != prev.incr.options_key {
-        return full_rebuild(|| crate::pipeline::compile_netlist(netlist, options));
+        return Ok(report(compile_netlist_from(netlist, options, None)?, true));
     }
     let netlist_key = netlist.structural_hash();
     if prev.incr.netlist_key == Some(netlist_key) {
         return Ok(replay_all(prev, options, None, Some(netlist_key)));
     }
-    backend(
-        Session::new(),
-        IncrementalReport::default(),
-        prev,
-        netlist,
-        0,
-        options,
-        None,
-        Some(netlist_key),
-    )
-}
-
-/// Nothing was reusable: run the cold pipeline and account every stage
-/// as a miss.
-fn full_rebuild<F>(compile: F) -> Result<(Compiled, IncrementalReport), CompileError>
-where
-    F: FnOnce() -> Result<Compiled, CompileError>,
-{
-    let compiled = compile()?;
-    count_miss(compiled.trace.stages().len() as u64);
-    let report = IncrementalReport {
-        stages: compiled
-            .trace
-            .stages()
-            .iter()
-            .map(|s| (s.name.clone(), StageDisposition::Full))
-            .collect(),
-        changed_cells: Vec::new(),
-        dirty_cone: Vec::new(),
-        full_rebuild: true,
-    };
-    Ok((compiled, report))
+    Ok(report(
+        compile_netlist_from(netlist, options, Some(prev))?,
+        false,
+    ))
 }
 
 /// The outermost key matched: replay every stage of the previous compile.
@@ -342,12 +199,8 @@ fn replay_all(
     netlist_key: Option<u64>,
 ) -> (Compiled, IncrementalReport) {
     let mut session = Session::new();
-    let mut report = IncrementalReport::default();
     for stage in prev.trace.stages() {
         session.skip_named(&stage.name, stage.output_size);
-        report
-            .stages
-            .push((stage.name.clone(), StageDisposition::Skipped));
     }
     let mut out = prev.clone();
     out.trace = session.finish();
@@ -356,399 +209,46 @@ fn replay_all(
     out.options = options.clone();
     out.incr.source_key = source_key;
     out.incr.netlist_key = netlist_key;
-    (out, report)
+    report((out, None), false)
 }
 
-/// Everything after the front end: unroll + optimize always re-run (they
-/// are cheap and their input moved), then keys decide how much of the
-/// back end survives.
-#[allow(clippy::too_many_arguments)]
-fn backend(
-    mut session: Session,
-    mut report: IncrementalReport,
-    prev: &Compiled,
-    netlist: Netlist,
-    verilog_lines: usize,
-    options: &CompileOptions,
-    source_key: Option<u64>,
-    netlist_key: Option<u64>,
-) -> Result<(Compiled, IncrementalReport), CompileError> {
-    let netlist = run_miss(
-        &mut session,
-        &mut report,
-        &UnrollStage {
-            steps: options.unroll_steps,
-            initial: options.unroll_initial,
-        },
-        netlist,
-    )?;
-    let unrolled_key = netlist.structural_hash();
-    let source_netlist = options.certify.then(|| netlist.clone());
-    let netlist = run_miss(
-        &mut session,
-        &mut report,
-        &OptimizeStage {
-            opt_level: options.opt_level,
-        },
-        netlist,
-    )?;
-    let optimized_key = netlist.structural_hash();
-
-    if optimized_key == prev.incr.optimized_key {
-        // The edit vanished in the front end (comment, whitespace,
-        // refactor the optimizer erases): the whole back end replays.
-        for name in [
-            "edif-write",
-            "edif-read",
-            "qmasm-gen",
-            "qmasm-parse",
-            "assemble",
-            "analyze",
-        ] {
-            if prev.trace.get(name).is_some() {
-                skip_stage(&mut session, &mut report, prev, name);
-            }
-        }
-        // The certificate's source side is the *pre*-optimization
-        // netlist, so an optimizer-erased edit can still move the
-        // front-end obligations: the proof replays only when the
-        // unrolled netlist held still too, and re-runs otherwise
-        // (against the previous back-end artifacts, which this branch
-        // just proved current).
-        let certificate = match &source_netlist {
-            Some(source) => {
-                if unrolled_key == prev.incr.unrolled_key && prev.trace.get("certify").is_some() {
-                    skip_stage(&mut session, &mut report, prev, "certify");
-                    prev.certificate.clone()
-                } else {
-                    let library = CellLibrary::table5();
-                    Some(run_certify(
-                        &mut session,
-                        &mut report,
-                        source,
-                        &prev.netlist,
-                        &prev.program,
-                        &library,
-                        prev.certificate.as_ref(),
-                    )?)
+/// Reads the [`IncrementalReport`] off the compile's trace — a skipped
+/// entry replayed, a `certify` that reused obligations spliced, anything
+/// else ran in full — and accounts the stages that ran as misses.
+fn report(
+    (compiled, cert_reuse): (Compiled, CertReuse),
+    full_rebuild: bool,
+) -> (Compiled, IncrementalReport) {
+    let stages: Vec<(String, StageDisposition)> = compiled
+        .trace
+        .stages()
+        .iter()
+        .map(|stage| {
+            let disposition = match cert_reuse {
+                _ if stage.skipped => StageDisposition::Skipped,
+                Some((reused, proved)) if stage.name == "certify" && reused > 0 => {
+                    StageDisposition::Spliced {
+                        reused,
+                        redone: proved,
+                    }
                 }
-            }
-            None => None,
-        };
-        let mut stats = prev.stats.clone();
-        stats.verilog_lines = verilog_lines;
-        let compiled = Compiled {
-            netlist: prev.netlist.clone(),
-            edif: prev.edif.clone(),
-            qmasm: prev.qmasm.clone(),
-            stdcell: prev.stdcell.clone(),
-            assembled: prev.assembled.clone(),
-            expected_ground_energy: prev.expected_ground_energy,
-            analysis: prev.analysis.clone(),
-            program: prev.program.clone(),
-            certificate,
-            stats,
-            trace: session.finish(),
-            options: options.clone(),
-            incr: IncrState {
-                source_key,
-                netlist_key,
-                options_key: prev.incr.options_key,
-                unrolled_key,
-                optimized_key,
-                analysis_key: prev.incr.analysis_key,
-                cell_blocks: prev.incr.cell_blocks.clone(),
-            },
-        };
-        return Ok((compiled, report));
-    }
-
-    // The EDIF round trip is behavioral, not an identity: once the
-    // netlist moved it must re-run so the post-EDIF netlist (the one
-    // every later artifact derives from) is exactly what a cold compile
-    // would see.
-    let edif = run_miss(&mut session, &mut report, &EdifWriteStage, netlist)?;
-    let netlist = run_miss(
-        &mut session,
-        &mut report,
-        &EdifReadStage { edif: &edif },
-        (),
-    )?;
-
-    let diff = Netlist::diff(&prev.netlist, &netlist);
-    report.changed_cells = diff.changed_cells.clone();
-    let library = CellLibrary::table5();
-
-    // QMASM generation: splice per-cell blocks when the diff allows it,
-    // regenerating only the dirty cone's cells.
-    let (qmasm, stdcell, cell_blocks) =
-        if diff.spliceable() && prev.incr.cell_blocks.len() == netlist.cells().len() {
-            report.dirty_cone = netlist.dirty_cone(&diff.changed_cells);
-            let mut changed = vec![false; netlist.cells().len()];
-            for &id in &report.dirty_cone {
-                changed[id] = true;
-            }
-            let redone = report.dirty_cone.len();
-            let reused = netlist.cells().len() - redone;
-            count_miss(1);
-            report.stages.push((
-                "qmasm-gen".to_string(),
-                StageDisposition::Spliced { reused, redone },
-            ));
-            let (gen, stdcell) = session.run(
-                &QmasmSpliceStage {
-                    netlist: &netlist,
-                    prev_blocks: &prev.incr.cell_blocks,
-                    changed: &changed,
-                    stdcell: &prev.stdcell,
-                },
-                (),
-            )?;
-            (gen.text, stdcell, gen.cell_blocks)
-        } else {
-            report.full_rebuild = true;
-            let (gen, stdcell) = run_miss(
-                &mut session,
-                &mut report,
-                &QmasmGenStage {
-                    netlist: &netlist,
-                    library: &library,
-                },
-                (),
-            )?;
-            (gen.text, stdcell, gen.cell_blocks)
-        };
-
-    let program;
-    let assembled;
-    let analysis;
-    let expected;
-    let analysis_key_now;
-    if qmasm == prev.qmasm && stdcell == prev.stdcell {
-        // The textual artifact landed identical (e.g. an internal net
-        // rename dirtied cell hashes without reaching any symbol):
-        // everything downstream of the text replays.
-        skip_stage(&mut session, &mut report, prev, "qmasm-parse");
-        skip_stage(&mut session, &mut report, prev, "assemble");
-        program = prev.program.clone();
-        assembled = prev.assembled.clone();
-        expected = expected_ground_energy_of(&netlist, &library, &assembled)?;
-        analysis_key_now = analysis_key(&assembled, &program, expected);
-        analysis = if options.analysis.enabled {
-            skip_stage(&mut session, &mut report, prev, "analyze");
-            prev.analysis.clone()
-        } else {
-            AnalysisReport::empty()
-        };
-    } else {
-        let mut includes = MapIncludes::new();
-        includes.insert("stdcell.qmasm", stdcell.clone());
-        program = run_miss(
-            &mut session,
-            &mut report,
-            &QmasmParseStage {
-                qmasm: &qmasm,
-                includes: &includes,
-            },
-            (),
-        )?;
-        let assemble_options = AssembleOptions {
-            merge_chains: options.merge_chains,
-            chain_strength: options.chain_strength,
-            pin_weight: None,
-        };
-        // Assemble: splice per-statement when the program-level diff
-        // allows it, falling back to a full assembly inside the stage.
-        count_miss(1);
-        let (out, splice) = session.run(
-            &AssembleIncrStage {
-                prev: &prev.assembled,
-                prev_program: &prev.program,
-                program: &program,
-                options: assemble_options,
-            },
-            (),
-        )?;
-        assembled = out;
-        report.stages.push((
-            "assemble".to_string(),
-            match splice {
-                Some((reused, redone)) => StageDisposition::Spliced { reused, redone },
-                None => StageDisposition::Full,
-            },
-        ));
-        expected = expected_ground_energy_of(&netlist, &library, &assembled)?;
-        analysis_key_now = analysis_key(&assembled, &program, expected);
-        analysis = if options.analysis.enabled {
-            if analysis_key_now == prev.incr.analysis_key && prev.trace.get("analyze").is_some() {
-                // The analyzer's whole input (model, macro use-sites,
-                // expected energy) is content-identical — it replays
-                // even when the program text moved underneath.
-                skip_stage(&mut session, &mut report, prev, "analyze");
-                prev.analysis.clone()
-            } else {
-                let analysis_options = analysis_options_for(options, expected);
-                let analysis_report = run_miss(
-                    &mut session,
-                    &mut report,
-                    &AnalyzeStage {
-                        assembled: &assembled,
-                        program: &program,
-                        options: &analysis_options,
-                    },
-                    (),
-                )?;
-                if analysis_report.diagnostics.has_errors() {
-                    return Err(CompileError::Analysis(analysis_report.diagnostics.clone()));
-                }
-                analysis_report
-            }
-        } else {
-            AnalysisReport::empty()
-        };
-    }
-
-    // Certification always re-proves against the *current* netlists:
-    // even a byte-identical QMASM artifact can sit over renumbered nets,
-    // which move the cut fingerprints the certificate records. Proofs
-    // whose reuse keys held still are spliced from the previous
-    // certificate; only the dirty cone's obligations re-enumerate.
-    let certificate = match &source_netlist {
-        Some(source) => Some(run_certify(
-            &mut session,
-            &mut report,
-            source,
-            &netlist,
-            &program,
-            &library,
-            prev.certificate.as_ref(),
-        )?),
-        None => None,
-    };
-
-    let stats = build_stats(verilog_lines, &edif, &qmasm, &stdcell, &assembled, &netlist);
-    let compiled = Compiled {
-        netlist,
-        edif,
-        qmasm,
-        stdcell,
-        assembled,
-        expected_ground_energy: expected,
-        analysis,
-        program,
-        certificate,
-        stats,
-        trace: session.finish(),
-        options: options.clone(),
-        incr: IncrState {
-            source_key,
-            netlist_key,
-            options_key: prev.incr.options_key,
-            unrolled_key,
-            optimized_key,
-            analysis_key: analysis_key_now,
-            cell_blocks,
+                _ => StageDisposition::Full,
+            };
+            (stage.name.clone(), disposition)
+        })
+        .collect();
+    let misses = stages
+        .iter()
+        .filter(|(_, d)| *d != StageDisposition::Skipped)
+        .count();
+    qac_telemetry::global().counter_add("qac_incr_stage_miss_total", misses as u64);
+    (
+        compiled,
+        IncrementalReport {
+            stages,
+            full_rebuild,
         },
-    };
-    Ok((compiled, report))
-}
-
-/// Runs the `certify` stage for an incremental recompile, splicing
-/// obligations whose reuse keys (cone fingerprints, macro bodies) held
-/// still from the previous certificate and re-enumerating the rest.
-fn run_certify(
-    session: &mut Session,
-    report: &mut IncrementalReport,
-    source: &Netlist,
-    optimized: &Netlist,
-    program: &Program,
-    library: &CellLibrary,
-    prev_certificate: Option<&qac_cert::CompileCertificate>,
-) -> Result<qac_cert::CompileCertificate, CompileError> {
-    count_miss(1);
-    let out = session.run(
-        &crate::certify::CertifyStage {
-            source,
-            optimized,
-            program,
-            library,
-            prev: prev_certificate,
-        },
-        (),
-    )?;
-    let disposition = if out.reused > 0 {
-        StageDisposition::Spliced {
-            reused: out.reused,
-            redone: out.proved,
-        }
-    } else {
-        StageDisposition::Full
-    };
-    report.stages.push(("certify".to_string(), disposition));
-    Ok(out.certificate)
-}
-
-/// The spliced flavor of `qmasm-gen`: regenerates only `changed` cells'
-/// blocks, copying the rest from the previous compile.
-struct QmasmSpliceStage<'a> {
-    netlist: &'a Netlist,
-    prev_blocks: &'a [String],
-    changed: &'a [bool],
-    stdcell: &'a str,
-}
-
-impl Stage for QmasmSpliceStage<'_> {
-    type Input = ();
-    type Output = (GenOutput, String);
-    fn name(&self) -> &'static str {
-        "qmasm-gen"
-    }
-    fn run(&self, (): ()) -> Result<(GenOutput, String), CompileError> {
-        Ok((
-            netlist_to_qmasm_spliced(self.netlist, self.prev_blocks, self.changed),
-            self.stdcell.to_string(),
-        ))
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.netlist.cells().len()
-    }
-    fn output_size(&self, (gen, stdcell): &(GenOutput, String)) -> usize {
-        gen.text.len() + stdcell.len()
-    }
-}
-
-/// The spliced flavor of `assemble`: tries
-/// [`qac_qmasm::assemble_incremental`] and falls back to a full assembly
-/// inside the same timed stage. The second tuple element carries the
-/// `(reused, redone)` statement counts when the splice succeeded.
-struct AssembleIncrStage<'a> {
-    prev: &'a Assembled,
-    prev_program: &'a Program,
-    program: &'a Program,
-    options: AssembleOptions,
-}
-
-impl Stage for AssembleIncrStage<'_> {
-    type Input = ();
-    type Output = (Assembled, Option<(usize, usize)>);
-    fn name(&self) -> &'static str {
-        "assemble"
-    }
-    fn run(&self, (): ()) -> Result<(Assembled, Option<(usize, usize)>), CompileError> {
-        match assemble_incremental(self.prev, self.prev_program, self.program, &self.options)? {
-            Some(splice) => Ok((
-                splice.assembled,
-                Some((splice.reused_statements, splice.redone_statements)),
-            )),
-            None => Ok((assemble(self.program, &self.options)?, None)),
-        }
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.program.statements.len()
-    }
-    fn output_size(&self, (assembled, _): &(Assembled, Option<(usize, usize)>)) -> usize {
-        assembled.ising.num_terms(1e-12)
-    }
+    )
 }
 
 /// Variables whose coupling support changed between two assemblies —
@@ -783,7 +283,7 @@ pub fn dirty_variables(prev: &Assembled, new: &Assembled) -> Option<Vec<bool>> {
 
 /// Compares every artifact of two compiles, returning a description of
 /// the first mismatch (or `None` when they are identical). The
-/// incremental property tests use this to pinpoint which splice leaked.
+/// incremental property tests use this to pinpoint which artifact diverged.
 pub fn artifact_mismatch(a: &Compiled, b: &Compiled) -> Option<String> {
     if a.netlist != b.netlist {
         return Some("netlist differs".to_string());
@@ -926,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn gate_edit_splices_generation_and_assembly_byte_identically() {
+    fn gate_edit_reruns_the_back_end_and_reuses_clean_proofs() {
         let options = CompileOptions {
             opt_level: 0,
             ..Default::default()
@@ -939,12 +439,13 @@ mod tests {
         let (warm, report) = compile_netlist_incremental(&prev, new, &options).unwrap();
         assert_eq!(artifact_mismatch(&cold, &warm), None);
         assert!(!report.full_rebuild);
+        for stage in ["edif-write", "qmasm-gen", "assemble", "analyze"] {
+            assert_eq!(report.disposition(stage), Some(StageDisposition::Full));
+        }
         assert!(matches!(
-            report.disposition("qmasm-gen"),
+            report.disposition("certify"),
             Some(StageDisposition::Spliced { .. })
         ));
-        assert_eq!(report.changed_cells, vec![1]);
-        assert!(report.dirty_cone.contains(&1));
     }
 
     #[test]
@@ -987,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn incomparable_netlists_fall_back_to_full_stages() {
+    fn a_different_circuit_runs_every_stage() {
         let options = CompileOptions {
             opt_level: 0,
             ..Default::default()
@@ -1002,7 +503,7 @@ mod tests {
         let other = b.finish();
         let cold = compile_netlist(other.clone(), &options).unwrap();
         let (warm, report) = compile_netlist_incremental(&prev, other, &options).unwrap();
-        assert!(report.full_rebuild);
+        assert_eq!(report.skipped(), 0);
         assert_eq!(
             report.disposition("qmasm-gen"),
             Some(StageDisposition::Full)
@@ -1068,37 +569,6 @@ mod tests {
             ),
             "certify must re-run: {:?}",
             report.disposition("certify")
-        );
-        assert_eq!(artifact_mismatch(&cold, &warm), None);
-    }
-
-    #[test]
-    fn symmetric_input_swap_replays_the_analyzer() {
-        // Swapping the OR cell's inputs changes the QMASM text (so
-        // parse and assemble re-run) but lands on a content-identical
-        // model: the analysis key matches and the analyzer replays.
-        let options = CompileOptions {
-            opt_level: 0,
-            ..Default::default()
-        };
-        let old = demo_netlist();
-        let prev = compile_netlist(old.clone(), &options).unwrap();
-        let mut new = old.clone();
-        let a_net = old.port("a").unwrap().bits[0];
-        let y_net = old.cells()[1].output;
-        new.retarget_input(2, 0, a_net);
-        new.retarget_input(2, 1, y_net);
-        let cold = compile_netlist(new.clone(), &options).unwrap();
-        let (warm, report) = compile_netlist_incremental(&prev, new, &options).unwrap();
-        assert_ne!(warm.qmasm, prev.qmasm, "edit must reach the text");
-        assert_eq!(
-            report.disposition("qmasm-parse"),
-            Some(StageDisposition::Full)
-        );
-        assert_eq!(
-            report.disposition("analyze"),
-            Some(StageDisposition::Skipped),
-            "content-identical analyzer input should replay"
         );
         assert_eq!(artifact_mismatch(&cold, &warm), None);
     }

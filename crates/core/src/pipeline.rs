@@ -18,7 +18,7 @@ use qac_netlist::{opt, Netlist, NetlistStats};
 use qac_qmasm::{assemble, parse, stdcell_qmasm, AssembleOptions, Assembled, MapIncludes, Program};
 
 use crate::incr::IncrState;
-use crate::qmasm_gen::{netlist_to_qmasm_blocks, GenOutput};
+use crate::qmasm_gen::netlist_to_qmasm;
 use crate::stage::{Session, Stage};
 use crate::trace::Trace;
 use crate::CompileError;
@@ -107,7 +107,8 @@ pub struct Compiled {
     /// the analyzer is disabled).
     pub analysis: AnalysisReport,
     /// The parsed QMASM program the model was assembled from (kept so an
-    /// incremental recompile can splice against it).
+    /// incremental recompile that replays the back end can re-certify
+    /// against it).
     pub program: Program,
     /// The translation-validation certificate the `certify` stage built
     /// and checked (`None` when [`CompileOptions::certify`] is off). The
@@ -120,7 +121,7 @@ pub struct Compiled {
     pub trace: Trace,
     /// The options used (downstream runs reuse the embed settings).
     pub options: CompileOptions,
-    /// Content keys and reuse units for [`crate::compile_incremental`].
+    /// Content keys for [`crate::compile_incremental`].
     pub incr: IncrState,
 }
 
@@ -136,9 +137,9 @@ impl Compiled {
 // ---------------------------------------------------------------------
 
 /// Verilog source → netlist (the Yosys role).
-pub(crate) struct VerilogStage<'a> {
-    pub(crate) source: &'a str,
-    pub(crate) top: &'a str,
+struct VerilogStage<'a> {
+    source: &'a str,
+    top: &'a str,
 }
 
 impl Stage for VerilogStage<'_> {
@@ -160,9 +161,9 @@ impl Stage for VerilogStage<'_> {
 
 /// Time-unrolls sequential logic (§4.3.3); identity when no step count
 /// was requested.
-pub(crate) struct UnrollStage {
-    pub(crate) steps: Option<usize>,
-    pub(crate) initial: InitialState,
+struct UnrollStage {
+    steps: Option<usize>,
+    initial: InitialState,
 }
 
 impl Stage for UnrollStage {
@@ -189,8 +190,8 @@ impl Stage for UnrollStage {
 }
 
 /// Gate-level optimization (the ABC role) plus validation.
-pub(crate) struct OptimizeStage {
-    pub(crate) opt_level: u8,
+struct OptimizeStage {
+    opt_level: u8,
 }
 
 impl Stage for OptimizeStage {
@@ -218,7 +219,7 @@ impl Stage for OptimizeStage {
 }
 
 /// Netlist → EDIF text.
-pub(crate) struct EdifWriteStage;
+struct EdifWriteStage;
 
 impl Stage for EdifWriteStage {
     type Input = Netlist;
@@ -238,8 +239,8 @@ impl Stage for EdifWriteStage {
 }
 
 /// EDIF text → netlist (the round trip the original toolchain takes).
-pub(crate) struct EdifReadStage<'a> {
-    pub(crate) edif: &'a str,
+struct EdifReadStage<'a> {
+    edif: &'a str,
 }
 
 impl Stage for EdifReadStage<'_> {
@@ -261,35 +262,32 @@ impl Stage for EdifReadStage<'_> {
 
 /// Netlist → QMASM program text + standard-cell library text (the
 /// `edif2qmasm` role).
-pub(crate) struct QmasmGenStage<'a> {
-    pub(crate) netlist: &'a Netlist,
-    pub(crate) library: &'a CellLibrary,
+struct QmasmGenStage<'a> {
+    netlist: &'a Netlist,
+    library: &'a CellLibrary,
 }
 
 impl Stage for QmasmGenStage<'_> {
     type Input = ();
-    type Output = (GenOutput, String);
+    type Output = (String, String);
     fn name(&self) -> &'static str {
         "qmasm-gen"
     }
-    fn run(&self, (): ()) -> Result<(GenOutput, String), CompileError> {
-        Ok((
-            netlist_to_qmasm_blocks(self.netlist),
-            stdcell_qmasm(self.library),
-        ))
+    fn run(&self, (): ()) -> Result<(String, String), CompileError> {
+        Ok((netlist_to_qmasm(self.netlist), stdcell_qmasm(self.library)))
     }
     fn input_size(&self, (): &()) -> usize {
         self.netlist.cells().len()
     }
-    fn output_size(&self, (gen, stdcell): &(GenOutput, String)) -> usize {
-        gen.text.len() + stdcell.len()
+    fn output_size(&self, (qmasm, stdcell): &(String, String)) -> usize {
+        qmasm.len() + stdcell.len()
     }
 }
 
 /// QMASM text → parsed program.
-pub(crate) struct QmasmParseStage<'a> {
-    pub(crate) qmasm: &'a str,
-    pub(crate) includes: &'a MapIncludes,
+struct QmasmParseStage<'a> {
+    qmasm: &'a str,
+    includes: &'a MapIncludes,
 }
 
 impl Stage for QmasmParseStage<'_> {
@@ -310,9 +308,9 @@ impl Stage for QmasmParseStage<'_> {
 }
 
 /// Parsed program → assembled logical Ising model.
-pub(crate) struct AssembleStage<'a> {
-    pub(crate) program: &'a Program,
-    pub(crate) options: AssembleOptions,
+struct AssembleStage<'a> {
+    program: &'a Program,
+    options: AssembleOptions,
 }
 
 impl Stage for AssembleStage<'_> {
@@ -334,10 +332,10 @@ impl Stage for AssembleStage<'_> {
 
 /// Assembled model → static-analysis report (lint passes, §6-style
 /// model audits). Error-severity diagnostics abort compilation.
-pub(crate) struct AnalyzeStage<'a> {
-    pub(crate) assembled: &'a Assembled,
-    pub(crate) program: &'a Program,
-    pub(crate) options: &'a AnalysisOptions,
+struct AnalyzeStage<'a> {
+    assembled: &'a Assembled,
+    program: &'a Program,
+    options: &'a AnalysisOptions,
 }
 
 impl Stage for AnalyzeStage<'_> {
@@ -375,11 +373,7 @@ pub fn compile(
     options: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
     let _span = qac_telemetry::global().span("compile");
-    let mut session = Session::new();
-    let netlist = session.run(&VerilogStage { source, top }, ())?;
-    let verilog_lines = source.lines().filter(|l| !l.trim().is_empty()).count();
-    let source_key = Some(crate::incr::source_fingerprint(source, top));
-    compile_netlist_in_session(session, netlist, verilog_lines, options, source_key, None)
+    compile_source(source, top, options, None).map(|(compiled, _)| compiled)
 }
 
 /// Compiles an already-built netlist (skipping the Verilog frontend).
@@ -391,18 +385,69 @@ pub fn compile_netlist(
     options: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
     let _span = qac_telemetry::global().span("compile");
-    let netlist_key = Some(netlist.structural_hash());
-    compile_netlist_in_session(Session::new(), netlist, 0, options, None, netlist_key)
+    compile_netlist_from(netlist, options, None).map(|(compiled, _)| compiled)
 }
 
-pub(crate) fn compile_netlist_in_session(
+/// The `(reused, proved)` split of certificate obligations, when the
+/// `certify` stage ran.
+pub(crate) type CertReuse = Option<(usize, usize)>;
+
+/// [`compile`], optionally against a previous compile (see
+/// [`compile_netlist_in_session`]).
+pub(crate) fn compile_source(
+    source: &str,
+    top: &str,
+    options: &CompileOptions,
+    prev: Option<&Compiled>,
+) -> Result<(Compiled, CertReuse), CompileError> {
+    let mut session = Session::new();
+    let netlist = session.run(&VerilogStage { source, top }, ())?;
+    let verilog_lines = source.lines().filter(|l| !l.trim().is_empty()).count();
+    let source_key = Some(crate::incr::source_fingerprint(source, top));
+    compile_netlist_in_session(
+        session,
+        netlist,
+        verilog_lines,
+        options,
+        source_key,
+        None,
+        prev,
+    )
+}
+
+/// [`compile_netlist`], optionally against a previous compile (see
+/// [`compile_netlist_in_session`]).
+pub(crate) fn compile_netlist_from(
+    netlist: Netlist,
+    options: &CompileOptions,
+    prev: Option<&Compiled>,
+) -> Result<(Compiled, CertReuse), CompileError> {
+    let netlist_key = Some(netlist.structural_hash());
+    compile_netlist_in_session(Session::new(), netlist, 0, options, None, netlist_key, prev)
+}
+
+/// The one compile driver behind every entry point, cold or incremental.
+///
+/// `prev` (the previous compile under the same options) is used for two
+/// things only:
+/// * **back-end replay** — when the optimized netlist's key matches, the
+///   edit vanished in the front end (a comment, whitespace, a refactor
+///   the optimizer erases) and every stage from `edif-write` through
+///   `analyze` replays its cached artifact;
+/// * **certificate reuse** — the `certify` stage copies obligations
+///   whose reuse keys (cone fingerprints, macro bodies) held still.
+///
+/// Every other stage runs exactly as in a cold compile, so the artifacts
+/// are byte-identical to one by construction.
+fn compile_netlist_in_session(
     mut session: Session,
     netlist: Netlist,
     verilog_lines: usize,
     options: &CompileOptions,
     source_key: Option<u64>,
     netlist_key: Option<u64>,
-) -> Result<Compiled, CompileError> {
+    prev: Option<&Compiled>,
+) -> Result<(Compiled, CertReuse), CompileError> {
     // Unroll sequential logic if requested (§4.3.3), then optimize (the
     // ABC role).
     let netlist = session.run(
@@ -414,7 +459,8 @@ pub(crate) fn compile_netlist_in_session(
     )?;
     // The certifier proves the optimizer (and the EDIF round trip)
     // preserved this netlist, so it keeps the pre-optimization form; its
-    // content key lets the incremental driver reuse front-end proofs.
+    // content key decides whether a replayed back end may replay the
+    // proof too.
     let unrolled_key = netlist.structural_hash();
     let source_netlist = options.certify.then(|| netlist.clone());
     let netlist = session.run(
@@ -423,125 +469,196 @@ pub(crate) fn compile_netlist_in_session(
         },
         netlist,
     )?;
-
-    // Content key of the optimized netlist: the incremental driver uses
-    // it to detect that the whole back end can be replayed verbatim.
     let optimized_key = netlist.structural_hash();
 
-    // Round-trip through EDIF text, as the original pipeline does.
-    let edif = session.run(&EdifWriteStage, netlist)?;
-    let netlist = session.run(&EdifReadStage { edif: &edif }, ())?;
-
-    // EDIF → QMASM.
     let library = CellLibrary::table5();
-    let (gen, stdcell) = session.run(
-        &QmasmGenStage {
-            netlist: &netlist,
-            library: &library,
-        },
-        (),
-    )?;
-    let GenOutput {
-        text: qmasm,
-        cell_blocks,
-    } = gen;
-    let mut includes = MapIncludes::new();
-    includes.insert("stdcell.qmasm", stdcell.clone());
-
-    // QMASM → logical Ising.
-    let program = session.run(
-        &QmasmParseStage {
-            qmasm: &qmasm,
-            includes: &includes,
-        },
-        (),
-    )?;
-    let assemble_options = AssembleOptions {
-        merge_chains: options.merge_chains,
-        chain_strength: options.chain_strength,
-        pin_weight: None,
-    };
-    let assembled = session.run(
-        &AssembleStage {
-            program: &program,
-            options: assemble_options,
-        },
-        (),
-    )?;
-
-    let expected = expected_ground_energy_of(&netlist, &library, &assembled)?;
-
-    // Static analysis over the assembled model. The expected ground
-    // energy just derived feeds the roof-duality and exact-audit passes;
-    // the unmerged chain strength feeds the sufficiency bound when the
-    // caller did not pick one explicitly.
-    let analysis = if options.analysis.enabled {
-        let analysis_options = analysis_options_for(options, expected);
-        let report = session.run(
-            &AnalyzeStage {
-                assembled: &assembled,
-                program: &program,
-                options: &analysis_options,
-            },
-            (),
-        )?;
-        if report.diagnostics.has_errors() {
-            return Err(CompileError::Analysis(report.diagnostics.clone()));
+    let replay = prev.filter(|prev| prev.incr.optimized_key == optimized_key);
+    let back = match replay {
+        Some(prev) => {
+            // Every stage the previous compile recorded after `optimize`,
+            // bar `certify` (decided below), replays.
+            let stages = prev.trace.stages().iter();
+            for stage in stages.skip_while(|s| s.name != "optimize").skip(1) {
+                if stage.name != "certify" {
+                    session.skip_named(&stage.name, stage.output_size);
+                }
+            }
+            BackEnd::replay(prev)
         }
-        report
-    } else {
-        AnalysisReport::empty()
+        None => BackEnd::run(&mut session, netlist, options, &library)?,
     };
 
     // Translation validation: prove the front end preserved every
     // output's Boolean function and the macro library every gate's
     // ground space; a failed proof rejects the compile like an analyzer
-    // error.
-    let certificate = match &source_netlist {
-        Some(source) => Some(
-            session
-                .run(
-                    &crate::certify::CertifyStage {
-                        source,
-                        optimized: &netlist,
-                        program: &program,
-                        library: &library,
-                        prev: None,
-                    },
-                    (),
-                )?
-                .certificate,
-        ),
-        None => None,
+    // error. The certificate's source side is the *pre*-optimization
+    // netlist, so an optimizer-erased edit can still move front-end
+    // obligations: the proof replays only when the unrolled netlist held
+    // still as well.
+    let mut cert_reuse = None;
+    let certificate = match (&source_netlist, replay) {
+        (Some(_), Some(prev))
+            if prev.incr.unrolled_key == unrolled_key && prev.certificate.is_some() =>
+        {
+            let size = prev.trace.get("certify").map_or(0, |s| s.output_size);
+            session.skip_named("certify", size);
+            prev.certificate.clone()
+        }
+        (Some(source), _) => {
+            let out = session.run(
+                &crate::certify::CertifyStage {
+                    source,
+                    optimized: &back.netlist,
+                    program: &back.program,
+                    library: &library,
+                    prev: prev.and_then(|prev| prev.certificate.as_ref()),
+                },
+                (),
+            )?;
+            cert_reuse = Some((out.reused, out.proved));
+            Some(out.certificate)
+        }
+        (None, _) => None,
     };
 
-    let stats = build_stats(verilog_lines, &edif, &qmasm, &stdcell, &assembled, &netlist);
-
+    let stats = build_stats(
+        verilog_lines,
+        &back.edif,
+        &back.qmasm,
+        &back.stdcell,
+        &back.assembled,
+        &back.netlist,
+    );
     let incr = IncrState {
         source_key,
         netlist_key,
         options_key: crate::incr::options_key(options),
         unrolled_key,
         optimized_key,
-        analysis_key: crate::incr::analysis_key(&assembled, &program, expected),
-        cell_blocks,
     };
-
-    Ok(Compiled {
-        netlist,
-        edif,
-        qmasm,
-        stdcell,
-        assembled,
-        expected_ground_energy: expected,
-        analysis,
-        program,
+    let compiled = Compiled {
+        netlist: back.netlist,
+        edif: back.edif,
+        qmasm: back.qmasm,
+        stdcell: back.stdcell,
+        assembled: back.assembled,
+        expected_ground_energy: back.expected,
+        analysis: back.analysis,
+        program: back.program,
         certificate,
         stats,
         trace: session.finish(),
         options: options.clone(),
         incr,
-    })
+    };
+    Ok((compiled, cert_reuse))
+}
+
+/// The artifacts of the back end, `edif-write` through `analyze`.
+struct BackEnd {
+    netlist: Netlist,
+    edif: String,
+    qmasm: String,
+    stdcell: String,
+    program: Program,
+    assembled: Assembled,
+    expected: f64,
+    analysis: AnalysisReport,
+}
+
+impl BackEnd {
+    /// Runs the back end over the optimized netlist.
+    fn run(
+        session: &mut Session,
+        netlist: Netlist,
+        options: &CompileOptions,
+        library: &CellLibrary,
+    ) -> Result<BackEnd, CompileError> {
+        // Round-trip through EDIF text, as the original pipeline does.
+        let edif = session.run(&EdifWriteStage, netlist)?;
+        let netlist = session.run(&EdifReadStage { edif: &edif }, ())?;
+
+        // EDIF → QMASM.
+        let (qmasm, stdcell) = session.run(
+            &QmasmGenStage {
+                netlist: &netlist,
+                library,
+            },
+            (),
+        )?;
+        let mut includes = MapIncludes::new();
+        includes.insert("stdcell.qmasm", stdcell.clone());
+
+        // QMASM → logical Ising.
+        let program = session.run(
+            &QmasmParseStage {
+                qmasm: &qmasm,
+                includes: &includes,
+            },
+            (),
+        )?;
+        let assemble_options = AssembleOptions {
+            merge_chains: options.merge_chains,
+            chain_strength: options.chain_strength,
+            pin_weight: None,
+        };
+        let assembled = session.run(
+            &AssembleStage {
+                program: &program,
+                options: assemble_options,
+            },
+            (),
+        )?;
+
+        let expected = expected_ground_energy_of(&netlist, library, &assembled)?;
+
+        // Static analysis over the assembled model. The expected ground
+        // energy just derived feeds the roof-duality and exact-audit
+        // passes; the unmerged chain strength feeds the sufficiency bound
+        // when the caller did not pick one explicitly.
+        let analysis = if options.analysis.enabled {
+            let analysis_options = analysis_options_for(options, expected);
+            let report = session.run(
+                &AnalyzeStage {
+                    assembled: &assembled,
+                    program: &program,
+                    options: &analysis_options,
+                },
+                (),
+            )?;
+            if report.diagnostics.has_errors() {
+                return Err(CompileError::Analysis(report.diagnostics.clone()));
+            }
+            report
+        } else {
+            AnalysisReport::empty()
+        };
+
+        Ok(BackEnd {
+            netlist,
+            edif,
+            qmasm,
+            stdcell,
+            program,
+            assembled,
+            expected,
+            analysis,
+        })
+    }
+
+    /// The previous compile's back-end artifacts, for a replay.
+    fn replay(prev: &Compiled) -> BackEnd {
+        BackEnd {
+            netlist: prev.netlist.clone(),
+            edif: prev.edif.clone(),
+            qmasm: prev.qmasm.clone(),
+            stdcell: prev.stdcell.clone(),
+            program: prev.program.clone(),
+            assembled: prev.assembled.clone(),
+            expected: prev.expected_ground_energy,
+            analysis: prev.analysis.clone(),
+        }
+    }
 }
 
 /// Expected ground energy: Σ instantiated-cell ground energies, plus −1
@@ -549,7 +666,7 @@ pub(crate) fn compile_netlist_in_session(
 /// merging disabled, every emitted chain coupling `J = −strength` reaches
 /// −strength when the chain is satisfied, so valid executions sit that
 /// much lower.
-pub(crate) fn expected_ground_energy_of(
+fn expected_ground_energy_of(
     netlist: &Netlist,
     library: &CellLibrary,
     assembled: &Assembled,
@@ -570,7 +687,7 @@ pub(crate) fn expected_ground_energy_of(
 /// derived expected ground energy feeds the roof-duality and exact-audit
 /// passes, and the unmerged chain strength feeds the sufficiency bound
 /// when the caller did not pick one explicitly.
-pub(crate) fn analysis_options_for(options: &CompileOptions, expected: f64) -> AnalysisOptions {
+fn analysis_options_for(options: &CompileOptions, expected: f64) -> AnalysisOptions {
     let mut analysis_options = options.analysis.clone();
     if analysis_options.expected_ground_energy.is_none() {
         analysis_options.expected_ground_energy = Some(expected);
@@ -582,7 +699,7 @@ pub(crate) fn analysis_options_for(options: &CompileOptions, expected: f64) -> A
 }
 
 /// The §6.1 static size measurements over the final artifacts.
-pub(crate) fn build_stats(
+fn build_stats(
     verilog_lines: usize,
     edif: &str,
     qmasm: &str,

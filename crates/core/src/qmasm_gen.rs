@@ -5,24 +5,8 @@
 //! power ties become single-variable weights (§4.3.4). Module port nets
 //! keep their source names so the `qmasm` reporter can present results
 //! symbolically; everything else is `$`-prefixed and hidden.
-//!
-//! Generation is block-structured: every cell's net-chain lines form one
-//! string block, and the full text is the concatenation of the global
-//! sections and those blocks. The incremental compiler (DESIGN.md §14)
-//! reuses the blocks of cells outside the edited cone, so spliced text is
-//! byte-identical to a cold generation by construction.
 
 use qac_netlist::Netlist;
-
-/// Generated QMASM plus the per-cell net-section blocks it was
-/// concatenated from (the reuse unit for incremental generation).
-pub(crate) struct GenOutput {
-    /// The full program text.
-    pub(crate) text: String,
-    /// One block per cell: its `$gN.pin = sym` chain lines, in pin order,
-    /// each line newline-terminated.
-    pub(crate) cell_blocks: Vec<String>,
-}
 
 /// Renders `netlist` as a QMASM program that `!include`s the standard
 /// cell library.
@@ -31,30 +15,6 @@ pub(crate) struct GenOutput {
 /// (supply it via [`qac_qmasm::MapIncludes`], generating the body with
 /// [`qac_qmasm::stdcell_qmasm`]).
 pub fn netlist_to_qmasm(netlist: &Netlist) -> String {
-    generate(netlist, None).text
-}
-
-/// Full generation with block capture (the cold path that also feeds the
-/// incremental artifact store).
-pub(crate) fn netlist_to_qmasm_blocks(netlist: &Netlist) -> GenOutput {
-    generate(netlist, None)
-}
-
-/// Regenerates only the blocks of `changed` cells, copying the rest from
-/// `prev_blocks`. Sound when the module interface (ports, constants) is
-/// unchanged and every clean cell's structural hash matched — each reused
-/// block is then exactly what a cold generation would produce, because a
-/// cell's block depends only on its own pins and the port names of the
-/// nets it touches, all covered by the hash.
-pub(crate) fn netlist_to_qmasm_spliced(
-    netlist: &Netlist,
-    prev_blocks: &[String],
-    changed: &[bool],
-) -> GenOutput {
-    generate(netlist, Some((prev_blocks, changed)))
-}
-
-fn generate(netlist: &Netlist, reuse: Option<(&[String], &[bool])>) -> GenOutput {
     let mut out = String::new();
     out.push_str(&format!(
         "# QMASM program generated from module `{}`\n",
@@ -90,30 +50,18 @@ fn generate(netlist: &Netlist, reuse: Option<(&[String], &[bool])>) -> GenOutput
     }
 
     // Nets: one chain per pin connection (paper §4.3.1 — a net is an
-    // assertion that its endpoints are equal). One block per cell so the
-    // incremental path can splice unchanged cells' blocks through.
+    // assertion that its endpoints are equal).
     out.push_str("\n# Nets\n");
-    let mut cell_blocks: Vec<String> = Vec::with_capacity(netlist.cells().len());
     for (id, cell) in netlist.cells().iter().enumerate() {
-        let reused = match reuse {
-            Some((prev_blocks, changed)) if !changed[id] => Some(prev_blocks[id].clone()),
-            _ => None,
-        };
-        let block = reused.unwrap_or_else(|| {
-            let mut block = String::new();
-            for (pin_idx, &net) in cell.inputs.iter().enumerate() {
-                let pin = cell.kind.input_names()[pin_idx];
-                block.push_str(&format!("$g{id}.{pin} = {}\n", net_symbol(net)));
-            }
-            block.push_str(&format!(
-                "$g{id}.{} = {}\n",
-                cell.kind.output_name(),
-                net_symbol(cell.output)
-            ));
-            block
-        });
-        out.push_str(&block);
-        cell_blocks.push(block);
+        for (pin_idx, &net) in cell.inputs.iter().enumerate() {
+            let pin = cell.kind.input_names()[pin_idx];
+            out.push_str(&format!("$g{id}.{pin} = {}\n", net_symbol(net)));
+        }
+        out.push_str(&format!(
+            "$g{id}.{} = {}\n",
+            cell.kind.output_name(),
+            net_symbol(cell.output)
+        ));
     }
 
     // Ports whose net drives nothing (e.g. a clock input, which the
@@ -162,10 +110,7 @@ fn generate(netlist: &Netlist, reuse: Option<(&[String], &[bool])>) -> GenOutput
             out.push_str(&format!("{} {}\n", net_symbol(net), weight));
         }
     }
-    GenOutput {
-        text: out,
-        cell_blocks,
-    }
+    out
 }
 
 #[cfg(test)]
@@ -252,24 +197,5 @@ mod tests {
             text.contains("a[0]") || text.contains("a[1]"),
             "expected indexed symbols"
         );
-    }
-
-    #[test]
-    fn spliced_generation_is_byte_identical() {
-        let mut b = Builder::new("demo");
-        let a = b.input("a", 1)[0];
-        let c = b.input("b", 1)[0];
-        let x = b.xor(a, c);
-        let y = b.and(x, c);
-        b.output("y", &[y]);
-        let old = b.finish();
-        let cold_old = netlist_to_qmasm_blocks(&old);
-        let mut new = old.clone();
-        new.set_cell_kind(1, qac_netlist::CellKind::Or);
-        let cold_new = netlist_to_qmasm_blocks(&new);
-        let changed = vec![false, true];
-        let spliced = netlist_to_qmasm_spliced(&new, &cold_old.cell_blocks, &changed);
-        assert_eq!(spliced.text, cold_new.text);
-        assert_eq!(spliced.cell_blocks, cold_new.cell_blocks);
     }
 }

@@ -1,15 +1,13 @@
-//! Content hashing, structural diffing, and dirty-cone tracking for
-//! incremental recompilation (DESIGN.md §14).
+//! Content hashing and single-edit mutators for incremental
+//! recompilation (DESIGN.md §14).
 //!
 //! Every cell gets a stable id (its index — the builder never reorders
 //! cells) plus a structural FNV-1a hash over everything downstream
 //! passes read from it: kind, instance name, connected net ids, and the
 //! *names* of those nets (QMASM symbols derive from port/net names, so
-//! a rename must dirty the owning cells even though the wiring is
-//! unchanged). [`Netlist::diff`] compares two netlists cell-by-cell and
-//! [`Netlist::dirty_cone`] closes the changed set over the fan-out
-//! table, yielding the logic cone whose derived artifacts must be
-//! rebuilt.
+//! a rename must change the owning cells' hashes even though the wiring
+//! is unchanged). [`Netlist::structural_hash`] folds them into the
+//! whole-netlist key the incremental compiler compares.
 
 use crate::{CellId, CellKind, NetId, Netlist};
 
@@ -71,42 +69,9 @@ pub fn fnv_str(s: &str) -> u64 {
     h.finish()
 }
 
-/// The result of [`Netlist::diff`]: which cells changed between two
-/// netlists, or a verdict that the pair is too different to compare
-/// cell-by-cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetlistDiff {
-    /// Whether a per-cell comparison was possible at all (same module
-    /// name, same cell count, same net-pool size). When `false` the
-    /// caller must fall back to a full rebuild.
-    pub comparable: bool,
-    /// Whether the module interface (ports or constant ties) changed.
-    /// Port-level changes invalidate the global sections of generated
-    /// QMASM, so splicing callers treat this like incomparability.
-    pub interface_changed: bool,
-    /// Cells whose structural hash differs, in id order.
-    pub changed_cells: Vec<CellId>,
-}
-
-impl NetlistDiff {
-    /// True when the diff found nothing at all to rebuild.
-    pub fn is_identical(&self) -> bool {
-        self.comparable && !self.interface_changed && self.changed_cells.is_empty()
-    }
-
-    /// True when per-cell splicing is sound: comparable and the module
-    /// interface held still.
-    pub fn spliceable(&self) -> bool {
-        self.comparable && !self.interface_changed
-    }
-}
-
 impl Netlist {
     /// The structural hash of one cell: kind, instance name, connected
-    /// net ids, and the names of those nets. Two cells with equal
-    /// hashes generate byte-identical per-cell QMASM (given an equal
-    /// module interface, which [`NetlistDiff::interface_changed`]
-    /// tracks separately).
+    /// net ids, and the names of those nets.
     pub fn cell_hash(&self, cell: CellId) -> u64 {
         let c = &self.cells()[cell];
         let mut h = Fnv::new();
@@ -170,70 +135,6 @@ impl Netlist {
             h.write_str(name);
         }
         h.finish()
-    }
-
-    /// The fan-out table: for each net, the cells that read it through
-    /// an input pin, in id order.
-    pub fn fanout_table(&self) -> Vec<Vec<CellId>> {
-        let mut table: Vec<Vec<CellId>> = vec![Vec::new(); self.num_nets()];
-        for (id, cell) in self.cells().iter().enumerate() {
-            for &net in &cell.inputs {
-                table[net].push(id);
-            }
-        }
-        table
-    }
-
-    /// Compares two netlists cell-by-cell. The diff is `comparable`
-    /// only when both sides agree on module name, net-pool size, and
-    /// cell count — the seed-edit model is "same circuit, one thing
-    /// changed", and anything larger falls back to a full rebuild.
-    pub fn diff(old: &Netlist, new: &Netlist) -> NetlistDiff {
-        let comparable = old.name() == new.name()
-            && old.num_nets() == new.num_nets()
-            && old.cells().len() == new.cells().len();
-        if !comparable {
-            return NetlistDiff {
-                comparable: false,
-                interface_changed: true,
-                changed_cells: Vec::new(),
-            };
-        }
-        let interface_changed = old.input_ports() != new.input_ports()
-            || old.output_ports() != new.output_ports()
-            || old.constants() != new.constants();
-        let changed_cells = (0..new.cells().len())
-            .filter(|&id| old.cell_hash(id) != new.cell_hash(id))
-            .collect();
-        NetlistDiff {
-            comparable,
-            interface_changed,
-            changed_cells,
-        }
-    }
-
-    /// Closes `seeds` forward over the fan-out table: every cell whose
-    /// output transitively feeds a changed cell's readers joins the
-    /// dirty cone. Returned in id order, deduplicated.
-    pub fn dirty_cone(&self, seeds: &[CellId]) -> Vec<CellId> {
-        let fanout = self.fanout_table();
-        let mut dirty = vec![false; self.cells().len()];
-        let mut queue: Vec<CellId> = Vec::new();
-        for &id in seeds {
-            if !dirty[id] {
-                dirty[id] = true;
-                queue.push(id);
-            }
-        }
-        while let Some(id) = queue.pop() {
-            for &reader in &fanout[self.cells()[id].output] {
-                if !dirty[reader] {
-                    dirty[reader] = true;
-                    queue.push(reader);
-                }
-            }
-        }
-        (0..self.cells().len()).filter(|&id| dirty[id]).collect()
     }
 
     // ── Cheap single-edit mutators (the interactive-editing model) ──
@@ -319,37 +220,6 @@ mod tests {
         // Cell 0 reads net `a`; its hash must change. Cell 1 does not.
         assert_ne!(n.cell_hash(0), renamed.cell_hash(0));
         assert_eq!(n.cell_hash(1), renamed.cell_hash(1));
-    }
-
-    #[test]
-    fn diff_finds_the_one_changed_cell() {
-        let old = two_gate();
-        let mut new = old.clone();
-        new.set_cell_kind(1, CellKind::Nand);
-        let diff = Netlist::diff(&old, &new);
-        assert!(diff.spliceable());
-        assert_eq!(diff.changed_cells, vec![1]);
-        assert!(Netlist::diff(&old, &old).is_identical());
-    }
-
-    #[test]
-    fn structurally_different_netlists_are_incomparable() {
-        let old = two_gate();
-        let mut b = Builder::new("m");
-        let a = b.input("a", 1)[0];
-        b.output("y", &[a]);
-        let diff = Netlist::diff(&old, &b.finish());
-        assert!(!diff.comparable);
-        assert!(!diff.spliceable());
-    }
-
-    #[test]
-    fn cone_walk_reaches_downstream_readers() {
-        let n = two_gate();
-        // Cell 0 (AND) feeds cell 1 (OR) ⇒ dirtying 0 dirties both.
-        assert_eq!(n.dirty_cone(&[0]), vec![0, 1]);
-        // The OR feeds nothing ⇒ its cone is itself.
-        assert_eq!(n.dirty_cone(&[1]), vec![1]);
     }
 
     #[test]

@@ -53,6 +53,6 @@ pub use cell::CellKind;
 pub use cut::{cut_functions, cut_functions_filtered, CutFunction, CUT_NOT_SELECTED};
 pub use error::NetlistError;
 pub use graph::{Cell, CellId, NetId, Netlist, Port};
-pub use incr::{fnv_str, Fnv, NetlistDiff};
+pub use incr::{fnv_str, Fnv};
 pub use sim::{CombSim, SeqSim};
 pub use stats::NetlistStats;

@@ -162,30 +162,6 @@ impl Ising {
         Ok(())
     }
 
-    /// Overwrites the linear coefficient `hᵢ` (incremental splicing:
-    /// the caller re-accumulates the term from scratch).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn set_h(&mut self, i: usize, value: f64) {
-        assert!(i < self.num_vars, "variable index in range");
-        self.h[i] = value;
-    }
-
-    /// Overwrites the constant offset (incremental splicing).
-    pub fn set_offset(&mut self, value: f64) {
-        self.offset = value;
-    }
-
-    /// Removes the stored coupling entry for `(i, j)` entirely, as if it
-    /// had never been accumulated. Distinct from adding the negation:
-    /// a removed entry leaves no `0.0`-valued key behind, so a spliced
-    /// model compares equal to one rebuilt from scratch.
-    pub fn clear_j(&mut self, i: usize, j: usize) {
-        let key = if i < j { (i, j) } else { (j, i) };
-        self.j.remove(&key);
-    }
-
     /// Iterates over the nonzero-keyed linear coefficients `(i, hᵢ)`.
     pub fn h_iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.h.iter().copied().enumerate()

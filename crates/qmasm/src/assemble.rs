@@ -180,12 +180,6 @@ pub struct Assembled {
     /// `merge_chains` is on). Each contributes −`chain_strength` to the
     /// energy of every chain-satisfying assignment.
     pub num_chain_couplings: usize,
-    /// The macro-expanded statement list the model was accumulated
-    /// from, kept for incremental re-assembly (DESIGN.md §14).
-    pub flat: Vec<Statement>,
-    /// Half-open `flat` ranges, one per top-level program statement —
-    /// the unit of reuse for [`assemble_incremental`].
-    pub segments: Vec<(u32, u32)>,
 }
 
 impl Assembled {
@@ -273,17 +267,8 @@ const MAX_MACRO_DEPTH: usize = 64;
 /// [`QmasmError::BadAssert`] for unparsable assertions.
 pub fn assemble(program: &Program, options: &AssembleOptions) -> Result<Assembled, QmasmError> {
     // --- Macro expansion to a flat statement list. ---
-    // Expanded one top-level statement at a time so the segment table
-    // records which flat range each statement produced; expansion is
-    // context-free per statement, so the concatenation is identical to
-    // expanding the whole list at once.
     let mut flat: Vec<Statement> = Vec::new();
-    let mut segments: Vec<(u32, u32)> = Vec::with_capacity(program.statements.len());
-    for stmt in &program.statements {
-        let start = flat.len() as u32;
-        expand_into(program, std::slice::from_ref(stmt), "", &mut flat, 0)?;
-        segments.push((start, flat.len() as u32));
-    }
+    expand_into(program, &program.statements, "", &mut flat, 0)?;
 
     // --- Symbol interning. ---
     let mut symbols = SymbolTable::default();
@@ -398,237 +383,7 @@ pub fn assemble(program: &Program, options: &AssembleOptions) -> Result<Assemble
         asserts,
         chain_strength,
         num_chain_couplings,
-        flat,
-        segments,
     })
-}
-
-/// A successful incremental re-assembly: the new model plus how much
-/// of the previous expansion was reused.
-#[derive(Debug, Clone)]
-pub struct SplicedAssembly {
-    /// The re-assembled model — field-for-field identical to what
-    /// [`assemble`] would produce from scratch.
-    pub assembled: Assembled,
-    /// Top-level statements whose expansion was copied from `prev`.
-    pub reused_statements: usize,
-    /// Top-level statements that were re-expanded and re-accumulated.
-    pub redone_statements: usize,
-}
-
-/// Re-assembles `program` by splicing into `prev` (the assembly of
-/// `prev_program` under the same `options`), re-accumulating only the
-/// Ising terms touched by changed top-level statements.
-///
-/// Returns `Ok(None)` when splicing cannot be proven sound — chain
-/// merging off, macro bodies changed, statement count changed, a
-/// changed statement participates in `=`/`!=` chain structure, or the
-/// symbol interning sequence shifted — in which case the caller falls
-/// back to a full [`assemble`]. On `Ok(Some(...))` the result is
-/// bitwise identical to a cold assembly: affected coefficients are
-/// re-accumulated from `+0.0` in flat-statement order (the same order
-/// the cold path uses), and cleared couplings remove their map entry
-/// outright rather than leaving a `0.0` behind.
-///
-/// # Errors
-/// The same expansion/parse errors [`assemble`] raises for the new
-/// statements.
-pub fn assemble_incremental(
-    prev: &Assembled,
-    prev_program: &Program,
-    program: &Program,
-    options: &AssembleOptions,
-) -> Result<Option<SplicedAssembly>, QmasmError> {
-    // Deferred-chain bookkeeping (unmerged mode) depends on global
-    // ordering; keep the fast path to the common merged configuration.
-    if !options.merge_chains
-        || prev.num_chain_couplings != 0
-        || prev_program.macros != program.macros
-        || prev_program.statements.len() != program.statements.len()
-        || prev.segments.len() != prev_program.statements.len()
-    {
-        return Ok(None);
-    }
-    let changed: Vec<usize> = (0..program.statements.len())
-        .filter(|&i| prev_program.statements[i] != program.statements[i])
-        .collect();
-
-    // --- Splice the flat expansion: copy clean segments, re-expand
-    // changed ones. ---
-    let mut flat: Vec<Statement> = Vec::with_capacity(prev.flat.len());
-    let mut segments: Vec<(u32, u32)> = Vec::with_capacity(program.statements.len());
-    let mut is_changed = vec![false; program.statements.len()];
-    for &i in &changed {
-        is_changed[i] = true;
-    }
-    for (i, stmt) in program.statements.iter().enumerate() {
-        let start = flat.len() as u32;
-        if is_changed[i] {
-            expand_into(program, std::slice::from_ref(stmt), "", &mut flat, 0)?;
-        } else {
-            let (s, e) = prev.segments[i];
-            flat.extend_from_slice(&prev.flat[s as usize..e as usize]);
-        }
-        segments.push((start, flat.len() as u32));
-    }
-
-    // A changed statement that adds or removes chain structure changes
-    // the union-find topology; bail to the full path.
-    fn dirty_statements<'a>(
-        seg: &[(u32, u32)],
-        pool: &'a [Statement],
-        i: usize,
-    ) -> &'a [Statement] {
-        let (s, e) = seg[i];
-        &pool[s as usize..e as usize]
-    }
-    for &i in &changed {
-        let old_dirty = dirty_statements(&prev.segments, &prev.flat, i);
-        let new_dirty = dirty_statements(&segments, &flat, i);
-        if old_dirty
-            .iter()
-            .chain(new_dirty.iter())
-            .any(|s| matches!(s, Statement::Equal(..) | Statement::NotEqual(..)))
-        {
-            return Ok(None);
-        }
-    }
-
-    // The previous symbol table is reusable only if a cold assembly of
-    // the new flat list would intern the exact same name sequence (and
-    // the chain statements, all clean, then union identically).
-    {
-        let mut seen: std::collections::HashSet<&str> =
-            std::collections::HashSet::with_capacity(prev.symbols.names.len());
-        let mut order: Vec<&str> = Vec::with_capacity(prev.symbols.names.len());
-        for stmt in &flat {
-            let names: Vec<&str> = match stmt {
-                Statement::Weight { symbol, .. } => vec![symbol],
-                Statement::Coupling { a, b, .. } => vec![a, b],
-                Statement::Equal(a, b) | Statement::NotEqual(a, b) => vec![a, b],
-                Statement::Pin { bits } => bits.iter().map(|(name, _)| name.as_str()).collect(),
-                Statement::UseMacro { .. } | Statement::Assert(_) => Vec::new(),
-            };
-            for name in names {
-                if seen.insert(name) {
-                    order.push(name);
-                }
-            }
-        }
-        if order.len() != prev.symbols.names.len()
-            || order.iter().zip(prev.symbols.names()).any(|(a, b)| *a != b)
-        {
-            return Ok(None);
-        }
-    }
-    let symbols = prev.symbols.clone();
-
-    // --- Affected Ising coefficients: every h/J/offset term any dirty
-    // statement (old or new) contributes to. ---
-    #[derive(Hash, PartialEq, Eq)]
-    enum Key {
-        H(usize),
-        J(usize, usize),
-        Offset,
-    }
-    let mut keys: std::collections::HashSet<Key> = std::collections::HashSet::new();
-    {
-        let mut collect = |stmt: &Statement| match stmt {
-            Statement::Weight { symbol, .. } => {
-                let (var, _) = symbols.resolve(symbol).expect("interning checked");
-                keys.insert(Key::H(var));
-            }
-            Statement::Coupling { a, b, .. } => {
-                let (va, _) = symbols.resolve(a).expect("interning checked");
-                let (vb, _) = symbols.resolve(b).expect("interning checked");
-                if va == vb {
-                    keys.insert(Key::Offset);
-                } else {
-                    keys.insert(Key::J(va.min(vb), va.max(vb)));
-                }
-            }
-            _ => {}
-        };
-        for &i in &changed {
-            for stmt in dirty_statements(&prev.segments, &prev.flat, i) {
-                collect(stmt);
-            }
-            for stmt in dirty_statements(&segments, &flat, i) {
-                collect(stmt);
-            }
-        }
-    }
-
-    // --- Re-accumulate the affected coefficients from scratch, in
-    // whole-flat order (the cold path's accumulation order). ---
-    let mut ising = prev.ising.clone();
-    for key in &keys {
-        match *key {
-            Key::H(var) => ising.set_h(var, 0.0),
-            Key::J(a, b) => ising.clear_j(a, b),
-            Key::Offset => ising.set_offset(0.0),
-        }
-    }
-    for stmt in &flat {
-        match stmt {
-            Statement::Weight { symbol, value } => {
-                let (var, parity) = symbols.resolve(symbol).expect("interned");
-                if keys.contains(&Key::H(var)) {
-                    ising.add_h(var, value * f64::from(parity.sign()));
-                }
-            }
-            Statement::Coupling { a, b, value } => {
-                let (va, pa) = symbols.resolve(a).expect("interned");
-                let (vb, pb) = symbols.resolve(b).expect("interned");
-                let signed = value * f64::from(pa.sign()) * f64::from(pb.sign());
-                if va == vb {
-                    if keys.contains(&Key::Offset) {
-                        ising.add_offset(signed);
-                    }
-                } else if keys.contains(&Key::J(va.min(vb), va.max(vb))) {
-                    ising.add_j(va, vb, signed);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // --- Derived scalars and statement-ordered lists, rebuilt cheaply
-    // from the spliced flat list exactly as the cold path would. ---
-    let max_j = flat
-        .iter()
-        .filter_map(|s| match s {
-            Statement::Coupling { value, .. } => Some(value.abs()),
-            _ => None,
-        })
-        .fold(0.0f64, f64::max);
-    let chain_strength = options.chain_strength.unwrap_or((2.0 * max_j).max(1.0));
-    let mut pins = Vec::new();
-    let mut asserts = Vec::new();
-    for stmt in &flat {
-        match stmt {
-            Statement::Pin { bits } => pins.extend(bits.iter().cloned()),
-            Statement::Assert(text) => asserts.push(AssertExpr::parse(text)?),
-            _ => {}
-        }
-    }
-
-    let redone_statements = changed.len();
-    let reused_statements = program.statements.len() - redone_statements;
-    Ok(Some(SplicedAssembly {
-        assembled: Assembled {
-            ising,
-            symbols,
-            pins,
-            asserts,
-            chain_strength,
-            num_chain_couplings: 0,
-            flat,
-            segments,
-        },
-        reused_statements,
-        redone_statements,
-    }))
 }
 
 /// Expands `statements` (possibly a macro body) with `prefix` applied to
@@ -892,89 +647,6 @@ B Y -1
             a.resolved_pins(&[("ghost".to_string(), true)]),
             Err(QmasmError::UnknownSymbol(_))
         ));
-    }
-
-    /// Splice after one statement edit must be bitwise identical to a
-    /// cold assembly of the edited program.
-    fn splice_equals_cold(old_src: &str, new_src: &str) {
-        let opts = AssembleOptions::default();
-        let old_prog = parse(old_src, &NoIncludes).unwrap();
-        let new_prog = parse(new_src, &NoIncludes).unwrap();
-        let prev = assemble(&old_prog, &opts).unwrap();
-        let cold = assemble(&new_prog, &opts).unwrap();
-        let spliced = assemble_incremental(&prev, &old_prog, &new_prog, &opts)
-            .unwrap()
-            .expect("edit should be spliceable");
-        assert_eq!(spliced.assembled, cold);
-        assert!(spliced.redone_statements >= 1);
-    }
-
-    #[test]
-    fn incremental_weight_edit_is_bitwise_identical() {
-        splice_equals_cold(
-            "A 1\nA 0.5\nA B -2\nB A -1\n",
-            "A 1\nA 0.25\nA B -2\nB A -1\n",
-        );
-    }
-
-    #[test]
-    fn incremental_coupling_edit_rebuilds_shared_terms() {
-        // Both statements feed the same J entry; editing one must
-        // re-accumulate the pair in flat order.
-        splice_equals_cold("A 1\nA B -2\nB A -1\n", "A 1\nA B -2\nB A -3\n");
-    }
-
-    #[test]
-    fn incremental_macro_instance_edit() {
-        let old_src = "!begin_macro NOT\nA Y 1\n!end_macro NOT\n!use_macro NOT n1 n2\nn1.Y = n2.A\nn1.A 0.5\n";
-        let new_src = "!begin_macro NOT\nA Y 1\n!end_macro NOT\n!use_macro NOT n1 n2\nn1.Y = n2.A\nn1.A 0.75\n";
-        splice_equals_cold(old_src, new_src);
-    }
-
-    #[test]
-    fn incremental_coupling_removal_clears_the_entry() {
-        // The edited statement was the ONLY contributor to J(A,B); the
-        // spliced map must drop the key entirely (a 0.0-valued leftover
-        // would break PartialEq against the cold model).
-        splice_equals_cold("A 1\nB 1\nA B -2\n", "A 1\nB 1\nA A -2\n");
-    }
-
-    #[test]
-    fn incremental_falls_back_when_chains_change() {
-        let opts = AssembleOptions::default();
-        let old_prog = parse("A 1\nB 1\nA = B\n", &NoIncludes).unwrap();
-        let new_prog = parse("A 1\nB 1\nA != B\n", &NoIncludes).unwrap();
-        let prev = assemble(&old_prog, &opts).unwrap();
-        assert!(assemble_incremental(&prev, &old_prog, &new_prog, &opts)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn incremental_falls_back_on_new_symbols() {
-        let opts = AssembleOptions::default();
-        let old_prog = parse("A 1\nA B -2\n", &NoIncludes).unwrap();
-        let new_prog = parse("A 1\nA C -2\n", &NoIncludes).unwrap();
-        let prev = assemble(&old_prog, &opts).unwrap();
-        assert!(
-            assemble_incremental(&prev, &old_prog, &new_prog, &opts)
-                .unwrap()
-                .is_none(),
-            "symbol C is not in the previous table; interning shifted"
-        );
-    }
-
-    #[test]
-    fn incremental_identity_reuses_everything() {
-        let opts = AssembleOptions::default();
-        let prog = parse("A 1\nA B -2\n", &NoIncludes).unwrap();
-        let prev = assemble(&prog, &opts).unwrap();
-        let spliced = assemble_incremental(&prev, &prog, &prog, &opts)
-            .unwrap()
-            .unwrap();
-        assert_eq!(spliced.redone_statements, 0);
-        assert_eq!(spliced.reused_statements, 2);
-        assert_eq!(spliced.assembled, prev);
     }
 
     #[test]

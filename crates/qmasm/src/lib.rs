@@ -57,10 +57,7 @@ mod report;
 mod sites;
 mod stdgen;
 
-pub use assemble::{
-    assemble, assemble_incremental, AssembleOptions, Assembled, PinStyle, SplicedAssembly,
-    SymbolTable,
-};
+pub use assemble::{assemble, AssembleOptions, Assembled, PinStyle, SymbolTable};
 pub use assert::{AssertExpr, AssertOutcome};
 pub use error::QmasmError;
 pub use parse::{parse, IncludeResolver, MapIncludes, NoIncludes, Program, Statement};

@@ -91,11 +91,6 @@ pub struct DWaveSimOptions {
     /// a Chimera C16). Also selects the coefficient range and the
     /// chain-strength clamp via [`Topology`].
     pub topology: TopologySpec,
-    /// Chimera mesh size; `0` (the new default) means "use `topology`".
-    /// A nonzero value wins over `topology`, preserving the meaning of
-    /// existing call sites that still set it.
-    #[deprecated(note = "set `topology: TopologySpec::Chimera { m }` instead")]
-    pub chimera_size: usize,
     /// Fraction of qubits lost to fabrication (deterministic per seed).
     pub dropout: f64,
     /// Base RNG seed (noise, annealing).
@@ -127,11 +122,9 @@ pub struct DWaveSimOptions {
 }
 
 impl Default for DWaveSimOptions {
-    #[allow(deprecated)] // the shim field must still be initialized
     fn default() -> DWaveSimOptions {
         DWaveSimOptions {
             topology: TopologySpec::default(),
-            chimera_size: 0,
             dropout: 0.0,
             seed: 0xd_3caf,
             chain_strength: None,
@@ -148,18 +141,9 @@ impl Default for DWaveSimOptions {
 }
 
 impl DWaveSimOptions {
-    /// The effective topology of this configuration: the deprecated
-    /// `chimera_size` shim wins when nonzero (so legacy call sites keep
-    /// their meaning), otherwise [`DWaveSimOptions::topology`].
-    #[allow(deprecated)] // this resolver is the shim's one sanctioned reader
+    /// The topology this configuration models.
     pub fn topology_spec(&self) -> TopologySpec {
-        if self.chimera_size != 0 {
-            TopologySpec::Chimera {
-                m: self.chimera_size,
-            }
-        } else {
-            self.topology
-        }
+        self.topology
     }
 }
 
@@ -294,15 +278,18 @@ impl DWaveSim {
         // Machine-independent routing-work counters: wall time drifts
         // with the host, these only drift if the router actually does
         // more work, so CI can put a hard budget on them. Each counter
-        // is emitted twice — the unlabeled aggregate and a
-        // `{topology="family"}` variant so budgets can be set per fabric.
+        // has an unlabeled aggregate and a `{topology="family"}` variant
+        // so budgets can be set per fabric. The router adds the unlabeled
+        // heap-pop, edge-relaxation and weight-update totals itself, so
+        // only their labeled variants are added here.
         let family = topology.family();
+        let route_iterations = embed_stats.route_iterations as u64;
+        let restarts = embed_stats.restarts as u64;
+        telemetry.counter_add("qac_route_iterations_total", route_iterations);
+        telemetry.counter_add("qac_embed_restarts_total", restarts);
         for (name, value) in [
-            (
-                "qac_route_iterations_total",
-                embed_stats.route_iterations as u64,
-            ),
-            ("qac_embed_restarts_total", embed_stats.restarts as u64),
+            ("qac_route_iterations_total", route_iterations),
+            ("qac_embed_restarts_total", restarts),
             ("qac_embed_heap_pops_total", embed_stats.heap_pops),
             (
                 "qac_embed_edge_relaxations_total",
@@ -310,7 +297,6 @@ impl DWaveSim {
             ),
             ("qac_embed_weight_updates_total", embed_stats.weight_updates),
         ] {
-            telemetry.counter_add(name, value);
             telemetry.counter_add(&format!("{name}{{topology=\"{family}\"}}"), value);
         }
         phase_done(&mut phases, "embed", embed_stats.restarts);
@@ -660,26 +646,6 @@ mod tests {
         assert_eq!(
             result.logical.best().unwrap().spins,
             vec![Spin::Up, Spin::Up]
-        );
-    }
-
-    #[test]
-    fn deprecated_chimera_size_shim_wins_when_nonzero() {
-        #[allow(deprecated)]
-        let legacy = DWaveSimOptions {
-            chimera_size: 2,
-            topology: TopologySpec::Pegasus { m: 4 },
-            ..Default::default()
-        };
-        assert_eq!(legacy.topology_spec(), TopologySpec::Chimera { m: 2 });
-        let modern = DWaveSimOptions {
-            topology: TopologySpec::Pegasus { m: 4 },
-            ..Default::default()
-        };
-        assert_eq!(modern.topology_spec(), TopologySpec::Pegasus { m: 4 });
-        assert_eq!(
-            DWaveSimOptions::default().topology_spec(),
-            TopologySpec::Chimera { m: 16 }
         );
     }
 

@@ -1,0 +1,69 @@
+//! The incremental compiler's contract on the paper's Figure 2 circuit:
+//! a warm recompile matches a cold one byte for byte, and an edit that
+//! changes nothing after the front end replays the whole back end.
+
+use qac::core::{
+    artifact_mismatch, compile, compile_incremental, compile_netlist, compile_netlist_incremental,
+    verify_certificate, CompileOptions, StageDisposition,
+};
+use qac::netlist::CellKind;
+
+const FIGURE2: &str = r#"
+module circuit (s, a, b, c);
+  input s, a, b;
+  output [1:0] c;
+  assign c = s ? a+b : a-b;
+endmodule
+"#;
+
+#[test]
+fn gate_swap_recompiles_like_a_cold_compile() {
+    let options = CompileOptions::default();
+    let base = compile(FIGURE2, "circuit", &options).unwrap().netlist;
+    let prev = compile_netlist(base.clone(), &options).unwrap();
+    let (cell, swapped) = base
+        .cells()
+        .iter()
+        .enumerate()
+        .find_map(|(id, c)| match c.kind {
+            CellKind::And => Some((id, CellKind::Or)),
+            CellKind::Or => Some((id, CellKind::And)),
+            CellKind::Xor => Some((id, CellKind::Xnor)),
+            CellKind::Xnor => Some((id, CellKind::Xor)),
+            _ => None,
+        })
+        .expect("figure 2 has a swappable gate");
+    let mut edited = base;
+    edited.set_cell_kind(cell, swapped);
+
+    let cold = compile_netlist(edited.clone(), &options).unwrap();
+    let (warm, _) = compile_netlist_incremental(&prev, edited, &options).unwrap();
+    assert_eq!(artifact_mismatch(&cold, &warm), None);
+    let certificate = warm.certificate.as_ref().expect("certification is on");
+    let issues = verify_certificate(certificate);
+    assert!(issues.iter().all(|i| !i.kind.is_error()), "{issues:?}");
+}
+
+#[test]
+fn whitespace_edit_replays_the_back_end() {
+    let options = CompileOptions::default();
+    let prev = compile(FIGURE2, "circuit", &options).unwrap();
+    let touched = format!("\n\n{FIGURE2}   \n");
+    let (warm, report) = compile_incremental(&prev, &touched, "circuit", &options).unwrap();
+    for stage in [
+        "edif-write",
+        "edif-read",
+        "qmasm-gen",
+        "qmasm-parse",
+        "assemble",
+        "analyze",
+    ] {
+        assert_eq!(
+            report.disposition(stage),
+            Some(StageDisposition::Skipped),
+            "{stage}"
+        );
+    }
+    let cold = compile(&touched, "circuit", &options).unwrap();
+    assert_eq!(artifact_mismatch(&cold, &warm), None);
+}
