@@ -1,8 +1,13 @@
-//! Sampler throughput on a fixed frustrated model.
+//! Sampler throughput on a fixed frustrated model, and the hardware
+//! model's chain-block anneal on a program embedded on the default C16.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qac_chimera::{EmbeddingCache, Topology};
+use qac_core::{compile, CompileOptions};
 use qac_pbf::Ising;
-use qac_solvers::{Sampler, SimulatedAnnealing, Sqa, TabuSearch};
+use qac_solvers::{DWaveSim, DWaveSimOptions, Sampler, SimulatedAnnealing, Sqa, TabuSearch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,6 +25,18 @@ fn fixture(n: usize) -> Ising {
     m
 }
 
+/// A 4×3-bit multiplier (paper Listing 6 at uneven widths): embedded on
+/// the default 2000Q its chains take ~240 of the 2048 qubits, the share
+/// a typical hardware-model job leaves active.
+const MULT_4X3: &str = r#"
+    module mult (A, B, C);
+      input [3:0] A;
+      input [2:0] B;
+      output [6:0] C;
+      assign C = A * B;
+    endmodule
+"#;
+
 fn bench_samplers(c: &mut Criterion) {
     let model = fixture(96);
     c.bench_function("sa_96vars_50reads", |b| {
@@ -33,6 +50,23 @@ fn bench_samplers(c: &mut Criterion) {
     c.bench_function("sqa_96vars_5reads", |b| {
         let sampler = Sqa::new(1).with_sweeps(64).with_slices(8);
         b.iter(|| std::hint::black_box(sampler.sample(&model, 5)))
+    });
+
+    // The embedding comes from a warmed cache, so each iteration is a
+    // warm hardware-model job: the chain-block anneal is ~98% of it.
+    let program = compile(MULT_4X3, "mult", &CompileOptions::default()).unwrap();
+    let sim = DWaveSim::new(DWaveSimOptions {
+        embedding_cache: Some(Arc::new(EmbeddingCache::new())),
+        ..DWaveSimOptions::default()
+    });
+    let warm = sim.run(&program.assembled.ising, 1).unwrap();
+    eprintln!(
+        "dwave_chain_block_anneal: {} of {} qubits in chains",
+        warm.physical_qubits,
+        DWaveSimOptions::default().topology_spec().num_qubits()
+    );
+    c.bench_function("dwave_chain_block_anneal", |b| {
+        b.iter(|| std::hint::black_box(sim.run(&program.assembled.ising, 100).unwrap()))
     });
 }
 

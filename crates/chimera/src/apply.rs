@@ -178,7 +178,7 @@ impl EmbeddedIsing {
     /// Decodes a physical sample to logical spins by majority vote over
     /// each chain (ties resolve down).
     pub fn unembed(&self, physical_spins: &[Spin]) -> (Vec<Spin>, ChainBreakStats) {
-        unembed_with(&self.embedding, self.num_logical, physical_spins)
+        unembed(&self.embedding, self.num_logical, physical_spins)
     }
 }
 
@@ -192,13 +192,17 @@ pub fn unembed(
     num_logical: usize,
     physical_spins: &[Spin],
 ) -> (Vec<Spin>, ChainBreakStats) {
-    unembed_with(embedding, num_logical, physical_spins)
+    unembed_by(embedding, num_logical, |q| physical_spins[q] == Spin::Up)
 }
 
-fn unembed_with(
+/// [`unembed`] for a sample stored in any form: `is_up(q)` reads
+/// physical qubit `q` (e.g. from a bit-packed read). Each logical spin is
+/// its chain's majority, ties resolving down; a chain whose qubits
+/// disagree counts as broken.
+pub fn unembed_by(
     embedding: &Embedding,
     num_logical: usize,
-    physical_spins: &[Spin],
+    is_up: impl Fn(usize) -> bool,
 ) -> (Vec<Spin>, ChainBreakStats) {
     let mut logical = Vec::with_capacity(num_logical);
     let mut stats = ChainBreakStats {
@@ -207,10 +211,7 @@ fn unembed_with(
     };
     for v in 0..num_logical {
         let chain = embedding.chain(v);
-        let ups = chain
-            .iter()
-            .filter(|&&q| physical_spins[q] == Spin::Up)
-            .count();
+        let ups = chain.iter().filter(|&&q| is_up(q)).count();
         let downs = chain.len() - ups;
         if ups > 0 && downs > 0 {
             stats.broken += 1;

@@ -456,7 +456,6 @@ fn sequential_restarts(
         stats.restarts += 1;
         if let Some(embedding) = attempt(
             adj,
-            hardware,
             options,
             &mut rng,
             &mut stats.route_iterations,
@@ -518,14 +517,8 @@ fn race_restarts(
                             break;
                         }
                         let mut rng = StdRng::seed_from_u64(restart_seed(options.seed, t as u64));
-                        let found = attempt(
-                            adj,
-                            hardware,
-                            options,
-                            &mut rng,
-                            &mut route_iterations,
-                            &mut scratch,
-                        );
+                        let found =
+                            attempt(adj, options, &mut rng, &mut route_iterations, &mut scratch);
                         local.push((t, found));
                     }
                     (local, route_iterations, scratch.counters)
@@ -1049,14 +1042,12 @@ impl RouterScratch {
 /// is counted into `route_iterations`.
 fn attempt(
     adj: &[Vec<usize>],
-    hardware: &HardwareGraph,
     options: &EmbedOptions,
     rng: &mut StdRng,
     route_iterations: &mut usize,
     scratch: &mut RouterScratch,
 ) -> Option<Embedding> {
     let n = adj.len();
-    let hw_n = hardware.num_nodes();
     let mut chains: Vec<Vec<usize>> = vec![Vec::new(); n];
     scratch.begin_attempt(n);
 
@@ -1159,20 +1150,6 @@ fn attempt(
             if round >= first_success.unwrap() + POLISH_ROUNDS {
                 break;
             }
-        }
-        if std::env::var_os("QAC_EMBED_DEBUG").is_some() {
-            let maxu = scratch.usage.iter().max().copied().unwrap_or(0);
-            let total: usize = chains.iter().map(Vec::len).sum();
-            let conflicts: Vec<(usize, Vec<usize>)> = (0..hw_n)
-                .filter(|&q| scratch.usage[q] > 1)
-                .map(|q| {
-                    let owners: Vec<usize> = (0..n).filter(|&v| chains[v].contains(&q)).collect();
-                    (q, owners)
-                })
-                .collect();
-            eprintln!(
-                "round {round}: max_usage={maxu} total_chain_qubits={total} conflicts={conflicts:?}"
-            );
         }
         // Mild reshuffle between rounds helps escape ties.
         if round % 4 == 3 {

@@ -42,7 +42,7 @@ mod topology;
 mod witness;
 
 pub use apply::{
-    choose_chain_strength, embed_ising, neighborhood_weights, unembed, ChainBreakStats,
+    choose_chain_strength, embed_ising, neighborhood_weights, unembed, unembed_by, ChainBreakStats,
     EmbeddedIsing,
 };
 pub use cache::{embedding_key, topology_embedding_key, CacheStats, EmbeddingCache, SnapshotError};

@@ -26,11 +26,10 @@ use qac_chimera::{
     embed_ising, find_embedding_or_clique_with_stats, find_embedding_portfolio, EmbedError,
     EmbedOptions, EmbedStats, Embedding, EmbeddingCache, Topology, TopologySpec,
 };
-use qac_pbf::scale::{quantize, scale_to_range};
+use qac_pbf::scale::{quantize, scale_to_range, CoefficientRange};
 use qac_pbf::Ising;
 
-use qac_pbf::Spin;
-
+use crate::chain_block::{ChainBlockModel, PackedReads};
 use crate::{Sample, SampleSet, Sampler};
 
 /// The time budget of one D-Wave job (microseconds).
@@ -310,29 +309,7 @@ impl DWaveSim {
         let physical = scale_to_range(&embedded.physical, range).model;
 
         // 3. Analog distortion: quantization plus Gaussian noise.
-        let mut distorted = if o.precision_bits > 0 {
-            quantize(&physical, range, o.precision_bits)
-        } else {
-            physical.clone()
-        };
-        if o.noise_sigma > 0.0 {
-            let mut rng = StdRng::seed_from_u64(o.seed ^ 0x6e_015e);
-            let mut noisy = Ising::new(distorted.num_vars());
-            for (i, h) in distorted.h_iter() {
-                if h != 0.0 {
-                    let sigma = o.noise_sigma * (range.h_max - range.h_min);
-                    noisy.add_h(i, h + gaussian(&mut rng) * sigma);
-                }
-            }
-            for t in distorted.j_iter() {
-                if t.value != 0.0 {
-                    let sigma = o.noise_sigma * (range.j_max - range.j_min);
-                    noisy.add_j(t.i, t.j, t.value + gaussian(&mut rng) * sigma);
-                }
-            }
-            noisy.add_offset(distorted.offset());
-            distorted = noisy;
-        }
+        let distorted = distort(&physical, range, o);
         drop(distort_span);
         phase_done(&mut phases, "distort", 0);
 
@@ -343,19 +320,19 @@ impl DWaveSim {
         // logical dynamics, single-qubit moves let chains break the way
         // analog hardware does.
         let mut anneal_span = telemetry.span("sample:anneal");
+        let (sweeps, seed) = (o.anneal_sweeps.max(1), o.seed ^ 0xa1_ea1);
         anneal_span.arg("reads", num_reads as f64);
-        anneal_span.arg("sweeps", o.anneal_sweeps.max(1) as f64);
-        let physical_set = match o.annealer {
-            PhysicalAnnealer::ChainBlock => anneal_embedded(
-                &distorted,
-                &embedding,
-                o.anneal_sweeps.max(1),
-                o.seed ^ 0xa1_ea1,
-                num_reads,
-            ),
-            PhysicalAnnealer::BitParallel => crate::BitParallelSa::new(o.seed ^ 0xa1_ea1)
-                .with_sweeps(o.anneal_sweeps.max(1))
-                .sample(&distorted, num_reads),
+        anneal_span.arg("sweeps", sweeps as f64);
+        let reads = match o.annealer {
+            PhysicalAnnealer::ChainBlock => {
+                ChainBlockModel::new(&distorted, &embedding).anneal(sweeps, seed, num_reads)
+            }
+            PhysicalAnnealer::BitParallel => {
+                let set = crate::BitParallelSa::new(seed)
+                    .with_sweeps(sweeps)
+                    .sample(&distorted, num_reads);
+                PackedReads::from_sample_set(&set, distorted.num_vars())
+            }
         };
         drop(anneal_span);
         phase_done(&mut phases, "anneal", 0);
@@ -368,13 +345,13 @@ impl DWaveSim {
         );
         let mut decoded: Vec<Sample> = Vec::new();
         let mut breaks = 0.0;
-        let mut reads = 0usize;
-        for sample in physical_set.iter() {
-            let (logical_spins, stats) = embedded.unembed(&sample.spins);
-            breaks += stats.break_fraction() * sample.occurrences as f64;
-            reads += sample.occurrences;
+        let mut total_reads = 0usize;
+        for (read, occurrences) in reads.iter() {
+            let (logical_spins, stats) = reads.unembed(read, &embedding, embedded.num_logical);
+            breaks += stats.break_fraction() * occurrences as f64;
+            total_reads += occurrences;
             let energy = logical.energy(&logical_spins);
-            telemetry.observe_n("qac_read_energy", energy, sample.occurrences as u64);
+            telemetry.observe_n("qac_read_energy", energy, occurrences as u64);
             // The quantile sketch answers "what was the p99 read energy"
             // without pre-chosen buckets; one observation per distinct
             // sample keeps it cheap (occurrences collapse to one point —
@@ -383,12 +360,12 @@ impl DWaveSim {
             telemetry.observe_n(
                 "qac_read_chain_break_fraction",
                 stats.break_fraction(),
-                sample.occurrences as u64,
+                occurrences as u64,
             );
             decoded.push(Sample {
                 spins: logical_spins,
                 energy,
-                occurrences: sample.occurrences,
+                occurrences,
             });
         }
         let logical_set = SampleSet::from_samples(decoded);
@@ -398,8 +375,8 @@ impl DWaveSim {
 
         Ok(DWaveSimResult {
             logical: logical_set,
-            mean_chain_breaks: if reads > 0 {
-                breaks / reads as f64
+            mean_chain_breaks: if total_reads > 0 {
+                breaks / total_reads as f64
             } else {
                 0.0
             },
@@ -427,125 +404,34 @@ impl Sampler for DWaveSim {
     }
 }
 
-/// Annealing over an embedded model with chain-block moves.
-///
-/// Each sweep proposes one collective flip per chain (Metropolis on the
-/// physical energy) followed by one single-qubit pass at the same
-/// temperature; a greedy single-qubit descent finishes each read. The
-/// block moves emulate the collective dynamics a physical annealer gets
-/// from quantum tunneling; the single-qubit moves are where chain breaks
-/// come from.
-fn anneal_embedded(
-    model: &Ising,
-    embedding: &Embedding,
-    sweeps: usize,
-    seed: u64,
-    num_reads: usize,
-) -> SampleSet {
-    let adj = model.csr_adjacency();
-    let n = model.num_vars();
-    // Chain membership per physical qubit (usize::MAX = unused).
-    let mut member = vec![usize::MAX; n];
-    for (v, chain) in embedding.chains().iter().enumerate() {
-        for &q in chain {
-            member[q] = v;
+/// The analog distortion of a physical model: quantization to the
+/// configured DAC precision plus Gaussian noise on every nonzero
+/// coefficient (deterministic per seed).
+pub(crate) fn distort(physical: &Ising, range: CoefficientRange, o: &DWaveSimOptions) -> Ising {
+    let mut distorted = if o.precision_bits > 0 {
+        quantize(physical, range, o.precision_bits)
+    } else {
+        physical.clone()
+    };
+    if o.noise_sigma > 0.0 {
+        let mut rng = StdRng::seed_from_u64(o.seed ^ 0x6e_015e);
+        let mut noisy = Ising::new(distorted.num_vars());
+        for (i, h) in distorted.h_iter() {
+            if h != 0.0 {
+                let sigma = o.noise_sigma * (range.h_max - range.h_min);
+                noisy.add_h(i, h + gaussian(&mut rng) * sigma);
+            }
         }
+        for t in distorted.j_iter() {
+            if t.value != 0.0 {
+                let sigma = o.noise_sigma * (range.j_max - range.j_min);
+                noisy.add_j(t.i, t.j, t.value + gaussian(&mut rng) * sigma);
+            }
+        }
+        noisy.add_offset(distorted.offset());
+        distorted = noisy;
     }
-    // β schedule bounds from the physical scale.
-    let mut max_local = 0.0f64;
-    for i in 0..n {
-        let local: f64 =
-            model.h(i).abs() + adj.neighbors(i).iter().map(|(_, j)| j.abs()).sum::<f64>();
-        max_local = max_local.max(2.0 * local);
-    }
-    if max_local == 0.0 {
-        max_local = 1.0;
-    }
-    let beta_min = 0.7 / max_local;
-    let beta_max = 50.0 / max_local.clamp(1e-9, 8.0);
-
-    let mut reads = Vec::with_capacity(num_reads);
-    for r in 0..num_reads {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(r as u64));
-        // Chain-coherent random start.
-        let mut spins: Vec<Spin> = vec![Spin::Down; n];
-        for chain in embedding.chains() {
-            let s = Spin::from(rng.gen::<bool>());
-            for &q in chain {
-                spins[q] = s;
-            }
-        }
-        for q in 0..n {
-            if member[q] == usize::MAX {
-                spins[q] = Spin::from(rng.gen::<bool>());
-            }
-        }
-        let ratio = (beta_max / beta_min).powf(1.0 / sweeps.max(1) as f64);
-        let mut beta = beta_min;
-        for _ in 0..sweeps {
-            // Block pass: flip whole chains.
-            for chain in embedding.chains() {
-                // ΔE of flipping the block: intra-chain terms cancel.
-                let mut delta = 0.0;
-                for &q in chain {
-                    let mut field = model.h(q);
-                    for &(other, j) in adj.neighbors(q) {
-                        if member[other as usize] != member[q] {
-                            field += j * spins[other as usize].value();
-                        }
-                    }
-                    delta += -2.0 * spins[q].value() * field;
-                }
-                if delta <= 0.0 || rng.gen::<f64>() < (-beta * delta).exp() {
-                    for &q in chain {
-                        spins[q] = spins[q].flipped();
-                    }
-                }
-            }
-            // Single-qubit pass (chain breaks happen here).
-            for q in 0..n {
-                if member[q] == usize::MAX && adj.neighbors(q).is_empty() && model.h(q) == 0.0 {
-                    continue;
-                }
-                let delta = model.flip_delta_csr(&spins, q, adj.neighbors(q));
-                if delta <= 0.0 || rng.gen::<f64>() < (-beta * delta).exp() {
-                    spins[q] = spins[q].flipped();
-                }
-            }
-            beta *= ratio;
-        }
-        // Greedy descent: blocks first, then single qubits.
-        let mut improved = true;
-        while improved {
-            improved = false;
-            for chain in embedding.chains() {
-                let mut delta = 0.0;
-                for &q in chain {
-                    let mut field = model.h(q);
-                    for &(other, j) in adj.neighbors(q) {
-                        if member[other as usize] != member[q] {
-                            field += j * spins[other as usize].value();
-                        }
-                    }
-                    delta += -2.0 * spins[q].value() * field;
-                }
-                if delta < -1e-12 {
-                    for &q in chain {
-                        spins[q] = spins[q].flipped();
-                    }
-                    improved = true;
-                }
-            }
-            for q in 0..n {
-                if model.flip_delta_csr(&spins, q, adj.neighbors(q)) < -1e-12 {
-                    spins[q] = spins[q].flipped();
-                    improved = true;
-                }
-            }
-        }
-        reads.push(spins);
-    }
-    SampleSet::from_reads(model, reads)
+    distorted
 }
 
 /// Standard normal via Box–Muller (rand_distr is not among the allowed

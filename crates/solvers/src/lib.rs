@@ -53,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod chain_block;
 mod dwave_sim;
 mod exact;
 mod multispin;

@@ -1,5 +1,7 @@
 //! Samples, sample sets, and the sampler trait.
 
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use qac_pbf::{Ising, Spin};
@@ -25,22 +27,14 @@ pub struct SampleSet {
 impl SampleSet {
     /// Builds a sample set from raw reads, deduplicating and sorting.
     pub fn from_reads(model: &Ising, reads: Vec<Vec<Spin>>) -> SampleSet {
-        let mut index: HashMap<Vec<Spin>, usize> = HashMap::new();
-        let mut samples: Vec<Sample> = Vec::new();
-        for spins in reads {
-            match index.get(&spins) {
-                Some(&i) => samples[i].occurrences += 1,
-                None => {
-                    let energy = model.energy(&spins);
-                    index.insert(spins.clone(), samples.len());
-                    samples.push(Sample {
-                        spins,
-                        energy,
-                        occurrences: 1,
-                    });
-                }
-            }
-        }
+        let samples = merge_by_spins(reads, |spins| spins, |_| 1)
+            .into_iter()
+            .map(|(spins, occurrences)| Sample {
+                energy: model.energy(&spins),
+                spins,
+                occurrences,
+            })
+            .collect();
         let mut set = SampleSet { samples };
         set.sort();
         set
@@ -48,19 +42,14 @@ impl SampleSet {
 
     /// Builds a set from already-evaluated samples (used by decoders that
     /// compute logical energies separately).
-    pub fn from_samples(mut samples: Vec<Sample>) -> SampleSet {
-        // Merge duplicates.
-        let mut index: HashMap<Vec<Spin>, usize> = HashMap::new();
-        let mut merged: Vec<Sample> = Vec::new();
-        for s in samples.drain(..) {
-            match index.get(&s.spins) {
-                Some(&i) => merged[i].occurrences += s.occurrences,
-                None => {
-                    index.insert(s.spins.clone(), merged.len());
-                    merged.push(s);
-                }
-            }
-        }
+    pub fn from_samples(samples: Vec<Sample>) -> SampleSet {
+        let merged = merge_by_spins(samples, |s| &s.spins, |s| s.occurrences)
+            .into_iter()
+            .map(|(sample, occurrences)| Sample {
+                occurrences,
+                ..sample
+            })
+            .collect();
         let mut set = SampleSet { samples: merged };
         set.sort();
         set
@@ -74,12 +63,8 @@ impl SampleSet {
     }
 
     fn sort(&mut self) {
-        self.samples.sort_by(|a, b| {
-            a.energy
-                .partial_cmp(&b.energy)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| b.occurrences.cmp(&a.occurrences))
-        });
+        self.samples
+            .sort_by(|a, b| sample_order((a.energy, a.occurrences), (b.energy, b.occurrences)));
     }
 
     /// The lowest-energy sample.
@@ -126,6 +111,45 @@ impl IntoIterator for SampleSet {
     fn into_iter(self) -> Self::IntoIter {
         self.samples.into_iter()
     }
+}
+
+/// The order of a sample set, given `(energy, occurrences)`: lowest
+/// energy first, the more frequent of two equal energies first. Sorts
+/// using it are stable, so full ties keep their first-appearance order.
+pub(crate) fn sample_order(a: (f64, usize), b: (f64, usize)) -> Ordering {
+    a.0.partial_cmp(&b.0)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| b.1.cmp(&a.1))
+}
+
+/// Merges items with equal assignments: one entry per distinct
+/// assignment, in first-appearance order, holding that first item and
+/// the summed weights of the group. The index borrows each assignment,
+/// so every item is moved once and none is cloned.
+fn merge_by_spins<T>(
+    items: Vec<T>,
+    spins: impl Fn(&T) -> &[Spin],
+    weight: impl Fn(&T) -> usize,
+) -> Vec<(T, usize)> {
+    let mut is_first = vec![false; items.len()];
+    let mut totals: Vec<usize> = Vec::new();
+    let mut index: HashMap<&[Spin], usize> = HashMap::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        match index.entry(spins(item)) {
+            Entry::Occupied(group) => totals[*group.get()] += weight(item),
+            Entry::Vacant(group) => {
+                group.insert(totals.len());
+                totals.push(weight(item));
+                is_first[i] = true;
+            }
+        }
+    }
+    items
+        .into_iter()
+        .zip(is_first)
+        .filter_map(|(item, first)| first.then_some(item))
+        .zip(totals)
+        .collect()
 }
 
 /// Anything that can draw samples from an Ising model.
