@@ -1,11 +1,14 @@
-//! Sampler throughput on a fixed frustrated model, and the hardware
-//! model's chain-block anneal on a program embedded on the default C16.
+//! Sampler throughput on a fixed frustrated model, the logical samplers
+//! on compiled, pinned programs (the examples' job shapes), and the
+//! hardware model's chain-block anneal on a program embedded on the
+//! default C16.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qac_bench::workloads::{compile_workload, AUSTRALIA, MULT};
 use qac_chimera::{EmbeddingCache, Topology};
-use qac_core::{compile, CompileOptions};
+use qac_core::{compile, CompileOptions, RunOptions, SolverChoice};
 use qac_pbf::Ising;
 use qac_solvers::{DWaveSim, DWaveSimOptions, Sampler, SimulatedAnnealing, Sqa, TabuSearch};
 use rand::rngs::StdRng;
@@ -50,6 +53,28 @@ fn bench_samplers(c: &mut Criterion) {
     c.bench_function("sqa_96vars_5reads", |b| {
         let sampler = Sqa::new(1).with_sweeps(64).with_slices(8);
         b.iter(|| std::hint::black_box(sampler.sample(&model, 5)))
+    });
+
+    // Compiled programs run through the public run path with the
+    // examples' solver and read settings: factoring 143 by tabu search,
+    // and colouring Australia by 384-sweep SA.
+    let mult = compile_workload(MULT, "mult");
+    let factor = RunOptions::new()
+        .pin("C[7:0] := 10001111")
+        .solver(SolverChoice::Tabu)
+        .num_reads(60)
+        .seed(1);
+    c.bench_function("tabu_mult4_factor_60reads", |b| {
+        b.iter(|| std::hint::black_box(mult.run(&factor).unwrap()))
+    });
+    let australia = compile_workload(AUSTRALIA, "australia");
+    let colour = RunOptions::new()
+        .pin("valid := 1")
+        .solver(SolverChoice::Sa { sweeps: 384 })
+        .num_reads(500)
+        .seed(1);
+    c.bench_function("sa_australia_384sweeps", |b| {
+        b.iter(|| std::hint::black_box(australia.run(&colour).unwrap()))
     });
 
     // The embedding comes from a warmed cache, so each iteration is a

@@ -440,8 +440,9 @@ fn beta_ladder(betas: (f64, f64), sweeps: usize) -> Vec<f32> {
 }
 
 /// Emits the per-sampler telemetry contract: a reads-per-second gauge
-/// plus deterministic word-sweep and flip counters (one word-sweep =
-/// one full-model sweep of one 64-lane word).
+/// plus deterministic sweep and flip counters. A packed sampler's sweep
+/// is one full-model sweep of one 64-lane word, scalar SA's is one sweep
+/// of one read, and tabu's is one step (a scan of every candidate flip).
 pub(crate) fn emit_sampler_metrics(
     name: &str,
     num_reads: usize,

@@ -1,6 +1,8 @@
 //! Tabu search — the core local-search move of D-Wave's classical
 //! `qbsolv` tool (paper §3, §4.3, Appendix A).
 
+use std::time::Instant;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,29 +58,96 @@ impl TabuSearch {
         self
     }
 
+    fn tenure_and_steps(&self, n: usize) -> (usize, usize) {
+        (
+            self.tenure.unwrap_or(n / 4 + 1),
+            self.steps.unwrap_or(50 * n),
+        )
+    }
+
     /// One tabu restart from a random start; returns the best assignment
-    /// visited.
-    fn run_once(&self, model: &Ising, adj: &CsrAdjacency, seed: u64) -> Vec<Spin> {
+    /// visited and the work done.
+    ///
+    /// `delta[i]` holds the energy change of flipping `i` at the current
+    /// spins. A flip changes only the flipped variable's delta and its
+    /// neighbours', so only those entries are refreshed — with the same
+    /// [`Ising::flip_delta_csr`] call a full rescan would make, never an
+    /// incremental ±2J update, so every table entry is bit-identical to
+    /// a fresh evaluation and the walk matches the full-rescan kernel
+    /// move for move.
+    fn run_once(&self, model: &Ising, adj: &CsrAdjacency, seed: u64) -> (Vec<Spin>, TabuWork) {
+        let n = model.num_vars();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut spins: Vec<Spin> = (0..n).map(|_| Spin::from(rng.gen::<bool>())).collect();
+        let mut work = TabuWork::default();
+        if n == 0 {
+            return (spins, work);
+        }
+        let (tenure, steps) = self.tenure_and_steps(n);
+        let mut energy = model.energy(&spins);
+        let mut best_energy = energy;
+        let mut best = spins.clone();
+        let mut delta: Vec<f64> = (0..n)
+            .map(|i| model.flip_delta_csr(&spins, i, adj.neighbors(i)))
+            .collect();
+        // tabu_until[i] = step index until which flipping i is forbidden.
+        let mut tabu_until = vec![0usize; n];
+        for step in 0..steps {
+            work.steps += 1;
+            // Pick the best admissible flip; the first index wins ties.
+            let mut chosen: Option<(usize, f64)> = None;
+            for (i, (&until, &d)) in tabu_until.iter().zip(&delta).enumerate() {
+                // Aspiration: tabu moves are allowed if they beat the best.
+                if until > step && energy + d >= best_energy - 1e-12 {
+                    continue;
+                }
+                match chosen {
+                    None => chosen = Some((i, d)),
+                    Some((_, bd)) if d < bd => chosen = Some((i, d)),
+                    _ => {}
+                }
+            }
+            let Some((flip, d)) = chosen else {
+                break; // everything tabu and nothing aspirational
+            };
+            spins[flip] = spins[flip].flipped();
+            energy += d;
+            tabu_until[flip] = step + tenure;
+            work.flips += 1;
+            delta[flip] = model.flip_delta_csr(&spins, flip, adj.neighbors(flip));
+            for &(j, _) in adj.neighbors(flip) {
+                let j = j as usize;
+                delta[j] = model.flip_delta_csr(&spins, j, adj.neighbors(j));
+            }
+            if energy < best_energy - 1e-12 {
+                best_energy = energy;
+                best.copy_from_slice(&spins);
+            }
+        }
+        (best, work)
+    }
+
+    /// The full-rescan kernel: every step re-evaluates all `n` flip
+    /// deltas. Kept as the reference [`TabuSearch::run_once`] must match
+    /// read for read.
+    #[cfg(test)]
+    fn run_once_reference(&self, model: &Ising, adj: &CsrAdjacency, seed: u64) -> Vec<Spin> {
         let n = model.num_vars();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut spins: Vec<Spin> = (0..n).map(|_| Spin::from(rng.gen::<bool>())).collect();
         if n == 0 {
             return spins;
         }
-        let tenure = self.tenure.unwrap_or(n / 4 + 1);
-        let steps = self.steps.unwrap_or(50 * n);
+        let (tenure, steps) = self.tenure_and_steps(n);
         let mut energy = model.energy(&spins);
         let mut best_energy = energy;
         let mut best = spins.clone();
-        // tabu_until[i] = step index until which flipping i is forbidden.
         let mut tabu_until = vec![0usize; n];
         for step in 0..steps {
-            // Pick the best admissible flip.
             let mut chosen: Option<(usize, f64)> = None;
             for (i, &until) in tabu_until.iter().enumerate() {
                 let delta = model.flip_delta_csr(&spins, i, adj.neighbors(i));
                 let is_tabu = until > step;
-                // Aspiration: tabu moves are allowed if they beat the best.
                 if is_tabu && energy + delta >= best_energy - 1e-12 {
                     continue;
                 }
@@ -89,7 +158,7 @@ impl TabuSearch {
                 }
             }
             let Some((flip, delta)) = chosen else {
-                break; // everything tabu and nothing aspirational
+                break;
             };
             spins[flip] = spins[flip].flipped();
             energy += delta;
@@ -103,13 +172,30 @@ impl TabuSearch {
     }
 }
 
+/// Work counts of tabu restarts: steps scanned (each scans all `n`
+/// candidate flips) and moves taken.
+#[derive(Debug, Clone, Copy, Default)]
+struct TabuWork {
+    steps: u64,
+    flips: u64,
+}
+
 impl Sampler for TabuSearch {
     fn sample(&self, model: &Ising, num_reads: usize) -> SampleSet {
+        let started = Instant::now();
         let adj = model.csr_adjacency();
+        let mut work = TabuWork::default();
         let reads: Vec<Vec<Spin>> = (0..num_reads)
-            .map(|r| self.run_once(model, &adj, self.seed.wrapping_add(r as u64)))
+            .map(|r| {
+                let (spins, read) = self.run_once(model, &adj, self.seed.wrapping_add(r as u64));
+                work.steps += read.steps;
+                work.flips += read.flips;
+                spins
+            })
             .collect();
-        SampleSet::from_reads(model, reads)
+        let set = SampleSet::from_reads(model, reads);
+        crate::multispin::emit_sampler_metrics("tabu", num_reads, started, work.steps, work.flips);
+        set
     }
 }
 
@@ -162,5 +248,141 @@ mod tests {
         m.add_h(2, -0.4);
         let t = TabuSearch::new(5);
         assert_eq!(t.sample(&m, 5), t.sample(&m, 5));
+    }
+
+    /// A random sparse model on `n` variables, about `degree` couplings
+    /// per variable. Half the models draw coefficients from a small
+    /// grid, so equal deltas (first-index ties) and exact aspiration
+    /// boundaries occur often; every fifth variable is left isolated.
+    fn sparse_model(seed: u64, n: usize, degree: f64) -> Ising {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let grid = seed.is_multiple_of(2);
+        let coefficient = move |rng: &mut StdRng| {
+            if grid {
+                [-1.0, -0.5, 0.5, 1.0][rng.gen_range(0..4usize)]
+            } else {
+                rng.gen_range(-1.0..1.0)
+            }
+        };
+        let mut m = Ising::new(n);
+        let p = (degree / n.max(2) as f64).min(1.0);
+        for i in 0..n {
+            if i % 5 == 4 {
+                continue;
+            }
+            m.add_h(i, coefficient(&mut rng));
+            for j in (i + 1)..n {
+                if j % 5 != 4 && rng.gen::<f64>() < p {
+                    m.add_j(i, j, coefficient(&mut rng));
+                }
+            }
+        }
+        m
+    }
+
+    /// Asserts the delta-table kernel walks exactly as the full-rescan
+    /// reference does, read for read.
+    fn assert_matches_reference(tabu: &TabuSearch, m: &Ising, what: &str) {
+        let adj = m.csr_adjacency();
+        for r in 0..4u64 {
+            let seed = tabu.seed.wrapping_add(r);
+            let (fast, work) = tabu.run_once(m, &adj, seed);
+            let reference = tabu.run_once_reference(m, &adj, seed);
+            assert_eq!(fast, reference, "{what}, read {r}");
+            assert!(work.flips <= work.steps, "{what}: {work:?}");
+        }
+    }
+
+    #[test]
+    fn delta_table_matches_full_rescan_on_random_sparse_models() {
+        for seed in 0..24u64 {
+            let n = 1 + (seed as usize * 7) % 48;
+            let m = sparse_model(seed, n, 3.0);
+            assert_matches_reference(&TabuSearch::new(seed), &m, &format!("seed {seed} n {n}"));
+        }
+    }
+
+    #[test]
+    fn delta_table_matches_full_rescan_with_custom_tenure_and_steps() {
+        let configs = [
+            ("tenure 1", TabuSearch::new(0).with_tenure(1)),
+            ("tenure 0", TabuSearch::new(0).with_tenure(0)),
+            ("tenure 2", TabuSearch::new(0).with_tenure(2)),
+            ("tenure 3", TabuSearch::new(0).with_tenure(3)),
+            ("tenure 64", TabuSearch::new(0).with_tenure(64)),
+            ("steps 1", TabuSearch::new(0).with_steps(1)),
+            ("steps 0", TabuSearch::new(0).with_steps(0)),
+            ("steps 37", TabuSearch::new(0).with_steps(37)),
+            (
+                "tenure 1 steps 500",
+                TabuSearch::new(0).with_tenure(1).with_steps(500),
+            ),
+        ];
+        for seed in 0..20u64 {
+            let m = sparse_model(100 + seed, 8 + seed as usize, 2.5);
+            for (name, tabu) in &configs {
+                let tabu = tabu.clone().with_seed(seed * 31);
+                assert_matches_reference(&tabu, &m, &format!("{name}, model {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn delta_table_handles_tiny_isolated_and_zero_coupled_models() {
+        // n = 1, with and without a field.
+        let mut one = Ising::new(1);
+        assert_matches_reference(&TabuSearch::new(1), &one, "n = 1, empty");
+        one.add_h(0, 0.75);
+        assert_matches_reference(&TabuSearch::new(1), &one, "n = 1");
+        // No couplings at all: every variable is isolated.
+        let mut fields = Ising::new(6);
+        for i in 0..6 {
+            fields.add_h(i, if i % 2 == 0 { 0.5 } else { -0.25 });
+        }
+        assert_matches_reference(&TabuSearch::new(2), &fields, "isolated");
+        // Couplings that cancel to zero stay in the model but not in the
+        // CSR rows, so they neither feed a delta nor trigger a refresh.
+        // (`sparse_model` leaves variables 4 and 9 uncoupled.)
+        let mut zeros = sparse_model(7, 12, 3.0);
+        zeros.add_j(4, 9, 0.5);
+        zeros.add_j(4, 9, -0.5);
+        zeros.add_j(0, 4, 0.0);
+        zeros.add_j(9, 11, 0.25);
+        zeros.add_j(9, 11, -0.25);
+        let adj = zeros.csr_adjacency();
+        assert!(adj.neighbors(4).is_empty() && adj.neighbors(9).is_empty());
+        for tabu in [TabuSearch::new(3), TabuSearch::new(3).with_tenure(2)] {
+            assert_matches_reference(&tabu, &zeros, "zero couplings");
+        }
+    }
+
+    #[test]
+    fn sample_set_matches_the_reference_reads() {
+        let m = sparse_model(4, 30, 3.0);
+        let tabu = TabuSearch::new(77);
+        let adj = m.csr_adjacency();
+        let reads = (0..6)
+            .map(|r| tabu.run_once_reference(&m, &adj, 77 + r))
+            .collect();
+        assert_eq!(tabu.sample(&m, 6), SampleSet::from_reads(&m, reads));
+    }
+
+    #[test]
+    fn work_counts_steps_and_moves() {
+        let m = sparse_model(5, 20, 3.0);
+        let adj = m.csr_adjacency();
+        // Under tenure 1 a flipped variable is admissible again on the
+        // next step, so no scan comes up empty and each of the default
+        // 50·n steps takes one move.
+        let (_, work) = TabuSearch::new(5).with_tenure(1).run_once(&m, &adj, 5);
+        assert_eq!((work.steps, work.flips), (1000, 1000));
+        // One variable under tenure 2: after the first move the only
+        // candidate is tabu and cannot beat the best, so the second scan
+        // finds nothing and the restart ends.
+        let mut one = Ising::new(1);
+        one.add_h(0, 1.0);
+        let tabu = TabuSearch::new(1).with_tenure(2);
+        let (_, work) = tabu.run_once(&one, &one.csr_adjacency(), 1);
+        assert_eq!((work.steps, work.flips), (2, 1));
     }
 }
