@@ -91,15 +91,13 @@ cargo run --release -q -p qac-bench --bin experiments -- \
 # trip only when a sampler algorithmically does more work — an extra
 # descent pass, a widened ladder, a resampling loop that stops
 # converging — never because the runner was slow. ~30% headroom over
-# today's values (bp/pa/sa flips ~4.4M, pt ~34.5M; pt attempts 172k
-# swaps; pa resamples 93 times).
+# today's values (sa/pa 3072 word sweeps, pt 24576; sa flips ~4.41M,
+# pa ~4.41M, pt ~34.5M; pt attempts 172k swaps; pa resamples 93 times).
 cargo run --release -q -p qac-bench --bin telemetry_check -- \
     "$tmpdir/samplers.jsonl" "$tmpdir/samplers.prom" \
-    --counter-max 'qac_sampler_sweeps_total{sampler="bp"}=4000' \
     --counter-max 'qac_sampler_sweeps_total{sampler="pa"}=4000' \
     --counter-max 'qac_sampler_sweeps_total{sampler="pt"}=32000' \
-    --counter-max 'qac_sampler_sweeps_total{sampler="sa"}=256000' \
-    --counter-max 'qac_sampler_flips_total{sampler="bp"}=5800000' \
+    --counter-max 'qac_sampler_sweeps_total{sampler="sa"}=4000' \
     --counter-max 'qac_sampler_flips_total{sampler="pa"}=5800000' \
     --counter-max 'qac_sampler_flips_total{sampler="pt"}=45000000' \
     --counter-max 'qac_sampler_flips_total{sampler="sa"}=5800000' \

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use qac_bench::{compile_workload, AUSTRALIA};
 use qac_chimera::{find_embedding_portfolio, find_embedding_with_stats, Chimera, EmbedOptions};
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
-use qac_solvers::{Portfolio, Sampler, SimulatedAnnealing};
+use qac_solvers::{BitParallelSa, Portfolio, Sampler};
 
 fn bench_portfolio(c: &mut Criterion) {
     let compiled = compile_workload(AUSTRALIA, "australia");
@@ -32,7 +32,7 @@ fn bench_portfolio(c: &mut Criterion) {
         })
     });
 
-    let sa = SimulatedAnnealing::new(7).with_sweeps(64).with_threads(1);
+    let sa = BitParallelSa::new(7).with_sweeps(64).with_threads(1);
     c.bench_function("sample_sa_64reads_single", |b| {
         b.iter(|| std::hint::black_box(sa.sample(&model, 64)))
     });

@@ -10,7 +10,7 @@ use qac_bench::workloads::{compile_workload, AUSTRALIA, MULT};
 use qac_chimera::{EmbeddingCache, Topology};
 use qac_core::{compile, CompileOptions, RunOptions, SolverChoice};
 use qac_pbf::Ising;
-use qac_solvers::{DWaveSim, DWaveSimOptions, Sampler, SimulatedAnnealing, Sqa, TabuSearch};
+use qac_solvers::{BitParallelSa, DWaveSim, DWaveSimOptions, Sampler, Sqa, TabuSearch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,7 +43,7 @@ const MULT_4X3: &str = r#"
 fn bench_samplers(c: &mut Criterion) {
     let model = fixture(96);
     c.bench_function("sa_96vars_50reads", |b| {
-        let sampler = SimulatedAnnealing::new(1).with_sweeps(128);
+        let sampler = BitParallelSa::new(1).with_sweeps(128);
         b.iter(|| std::hint::black_box(sampler.sample(&model, 50)))
     });
     c.bench_function("tabu_96vars_10reads", |b| {

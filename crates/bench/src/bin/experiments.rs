@@ -26,12 +26,6 @@
 //! per-workload analyzer diagnostics as JSON (checked in CI by
 //! `telemetry_check --diagnostics`).
 //!
-//! `--sampler sa,bp,pt,pa` restricts the `samplers` throughput table to
-//! a comma-separated subset (scalar SA is always measured as the
-//! speedup denominator) and, when no experiment is named, implies the
-//! `samplers` experiment — `experiments --sampler pt` on its own runs
-//! just the tempering row.
-//!
 //! `--topology` adds the per-topology axis: after the selected
 //! experiments, the §6 workloads are embedded on every supported
 //! hardware family (Chimera, Pegasus, Zephyr, king's graph) and
@@ -56,7 +50,6 @@ struct Cli {
     bench_baseline: Option<String>,
     diagnostics_json: Option<String>,
     html: Option<String>,
-    sampler: Option<String>,
     cert_dir: Option<String>,
     topology: bool,
 }
@@ -70,7 +63,6 @@ fn parse_cli() -> Cli {
         bench_baseline: None,
         diagnostics_json: None,
         html: None,
-        sampler: None,
         cert_dir: None,
         topology: false,
     };
@@ -90,7 +82,6 @@ fn parse_cli() -> Cli {
             "--bench-baseline" => flag(&mut cli.bench_baseline),
             "--diagnostics-json" => flag(&mut cli.diagnostics_json),
             "--html" => flag(&mut cli.html),
-            "--sampler" => flag(&mut cli.sampler),
             "--cert-dir" => flag(&mut cli.cert_dir),
             "--topology" => cli.topology = true,
             other if other.starts_with("--") => {
@@ -193,15 +184,6 @@ fn main() {
         std::env::set_var("QAC_CERT_DIR", dir);
         if cli.names.is_empty() {
             cli.names.push("certify".to_string());
-        }
-    }
-    if let Some(filter) = &cli.sampler {
-        // The samplers experiment reads this to restrict its table to a
-        // comma-separated subset of sa,bp,pt,pa. Implies the experiment:
-        // `experiments --sampler pt` alone runs the samplers table.
-        std::env::set_var("QAC_SAMPLERS", filter);
-        if cli.names.is_empty() {
-            cli.names.push("samplers".to_string());
         }
     }
 

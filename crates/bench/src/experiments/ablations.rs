@@ -9,7 +9,7 @@ use qac_pbf::roof::apply_roof_duality;
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
 use qac_pbf::Ising;
 use qac_qmasm::PinStyle;
-use qac_solvers::{DWaveSim, DWaveSimOptions, Sampler, SimulatedAnnealing};
+use qac_solvers::{DWaveSim, DWaveSimOptions};
 
 use crate::{compile_workload, AUSTRALIA, FIGURE2};
 
@@ -250,5 +250,4 @@ pub fn run_ablation_opt() {
     .unwrap();
     let opt = compile_workload(FIGURE2, "circuit");
     assert!(opt.stats.logical_variables <= unopt.stats.logical_variables);
-    let _ = SimulatedAnnealing::new(0).sample(&Ising::new(1), 1);
 }

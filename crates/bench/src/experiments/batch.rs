@@ -94,18 +94,10 @@ pub fn sec6_batch_jobs() -> Vec<JobSpec> {
             .num_reads(200),
         "australia:valid",
     ));
-    // The packed-lane samplers as engine jobs: same backward circsat /
-    // map-coloring workloads, exercising SolverChoice::BitParallel,
-    // ::ParallelTempering, and ::PopulationAnnealing through the
-    // engine's determinism contract.
-    jobs.push(JobSpec::new(
-        Arc::clone(&circsat),
-        RunOptions::new()
-            .pin("y := true")
-            .solver(SolverChoice::BitParallel { sweeps: 256 })
-            .num_reads(192),
-        "circsat:y=1:bp",
-    ));
+    // The other packed-lane samplers as engine jobs (SA already runs
+    // circsat and australia above): the map-coloring workload through
+    // SolverChoice::ParallelTempering and ::PopulationAnnealing under
+    // the engine's determinism contract.
     jobs.push(JobSpec::new(
         Arc::clone(&australia),
         RunOptions::new()

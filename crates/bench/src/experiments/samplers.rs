@@ -1,17 +1,15 @@
-//! Sampler throughput shoot-out: scalar SA vs the packed-lane samplers.
+//! Sampler throughput shoot-out: the packed-lane samplers vs a one-lane
+//! scalar walk.
 //!
-//! Runs every §6 baseline workload through scalar simulated annealing,
-//! bit-parallel SA, parallel tempering, and population annealing at an
-//! equal sweep budget and tabulates reads/sec, speedup over the scalar
-//! path, best energy, and ground fraction. `experiments --sampler pt`
-//! (or the `QAC_SAMPLERS` env var directly, comma-separated) restricts
-//! the table to a subset of `sa,bp,pt,pa`.
+//! Runs every §6 baseline workload through simulated annealing,
+//! parallel tempering and population annealing at an equal sweep
+//! budget and tabulates reads/sec, speedup over the one-lane scalar
+//! walk of SA's own algorithm ([`BitParallelSa::sample_reference`]),
+//! best energy, and ground fraction.
 
 use std::time::Instant;
 
-use qac_solvers::{
-    BitParallelSa, ParallelTempering, PopulationAnnealing, Sampler, SimulatedAnnealing,
-};
+use qac_solvers::{BitParallelSa, ParallelTempering, PopulationAnnealing, Sampler};
 
 use crate::{compile_workload, AUSTRALIA, CIRCSAT, FIGURE2};
 
@@ -22,45 +20,25 @@ const READS: usize = 256;
 /// Sweeps per read for every sampler (equal budget).
 const SWEEPS: usize = 256;
 
-/// The sampler ids the experiment knows, in table order.
-const SAMPLER_IDS: [&str; 4] = ["sa", "bp", "pt", "pa"];
-
-fn selected_samplers() -> Vec<&'static str> {
-    let Ok(filter) = std::env::var("QAC_SAMPLERS") else {
-        return SAMPLER_IDS.to_vec();
-    };
-    let wanted: Vec<String> = filter
-        .split(',')
-        .map(|s| s.trim().to_lowercase())
-        .filter(|s| !s.is_empty())
-        .collect();
-    for name in &wanted {
-        assert!(
-            SAMPLER_IDS.contains(&name.as_str()),
-            "unknown sampler `{name}` in QAC_SAMPLERS (valid: sa, bp, pt, pa)"
-        );
-    }
-    SAMPLER_IDS
-        .into_iter()
-        .filter(|id| wanted.iter().any(|w| w == id))
-        .collect()
-}
-
-fn sampler_by_id(id: &str) -> Box<dyn Sampler> {
-    match id {
-        "sa" => Box::new(SimulatedAnnealing::new(7).with_sweeps(SWEEPS)),
-        "bp" => Box::new(BitParallelSa::new(7).with_sweeps(SWEEPS)),
-        "pt" => Box::new(ParallelTempering::new(7).with_sweeps(SWEEPS)),
-        "pa" => Box::new(PopulationAnnealing::new(7).with_sweeps(SWEEPS)),
-        other => unreachable!("unknown sampler id {other}"),
-    }
-}
-
 /// The `samplers` experiment: per-workload sampler throughput table.
 pub fn run_samplers() {
-    println!("== sampler throughput: scalar SA vs packed-lane samplers ==");
-    println!("({READS} reads, {SWEEPS} sweeps each; speedup is vs scalar SA)\n");
-    let samplers = selected_samplers();
+    println!("== sampler throughput: packed-lane samplers vs the one-lane walk ==");
+    println!(
+        "({READS} reads, {SWEEPS} sweeps each; speedup is vs SA's one-lane scalar walk, \
+         single-threaded)\n"
+    );
+    let sa = BitParallelSa::new(7).with_sweeps(SWEEPS);
+    let samplers: [(&str, Box<dyn Sampler>); 3] = [
+        ("sa", Box::new(sa.clone())),
+        (
+            "pt",
+            Box::new(ParallelTempering::new(7).with_sweeps(SWEEPS)),
+        ),
+        (
+            "pa",
+            Box::new(PopulationAnnealing::new(7).with_sweeps(SWEEPS)),
+        ),
+    ];
 
     for (name, source, top) in [
         ("figure2", FIGURE2, "circuit"),
@@ -77,19 +55,13 @@ pub fn run_samplers() {
             "{:<8} {:>12} {:>9} {:>12} {:>9}",
             "sampler", "reads/sec", "speedup", "best E", "ground%"
         );
-        // Scalar SA is always measured (it is the denominator), but only
-        // printed when selected.
         let scalar_start = Instant::now();
-        let scalar_set = sampler_by_id("sa").sample(&model, READS);
+        sa.sample_reference(&model, READS);
         let scalar_rps = READS as f64 / scalar_start.elapsed().as_secs_f64().max(1e-9);
-        for id in &samplers {
-            let (set, rps) = if *id == "sa" {
-                (scalar_set.clone(), scalar_rps)
-            } else {
-                let start = Instant::now();
-                let set = sampler_by_id(id).sample(&model, READS);
-                (set, READS as f64 / start.elapsed().as_secs_f64().max(1e-9))
-            };
+        for (id, sampler) in &samplers {
+            let start = Instant::now();
+            let set = sampler.sample(&model, READS);
+            let rps = READS as f64 / start.elapsed().as_secs_f64().max(1e-9);
             let best = set.best().expect("every run produces samples");
             println!(
                 "{:<8} {:>12.0} {:>8.1}× {:>12.3} {:>8.1}%",

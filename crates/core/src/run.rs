@@ -12,7 +12,7 @@ use qac_qmasm::pin::parse_pins;
 use qac_qmasm::Solution;
 use qac_solvers::{
     BitParallelSa, DWaveSim, DWaveSimOptions, ExactSolver, ParallelTempering, PhaseTiming,
-    PopulationAnnealing, QbsolvStyle, SampleSet, Sampler, SimulatedAnnealing, Sqa, TabuSearch,
+    PopulationAnnealing, QbsolvStyle, SampleSet, Sampler, Sqa, TabuSearch,
 };
 
 use crate::stage::{Session, Stage};
@@ -24,13 +24,9 @@ use crate::{CompileError, Compiled};
 pub enum SolverChoice {
     /// Exhaustive enumeration (small models only).
     Exact,
-    /// Simulated annealing with the given sweep count.
+    /// Simulated annealing with the given sweep count, run by the
+    /// packed-lane kernel ([`BitParallelSa`]: 64 reads per word).
     Sa {
-        /// Sweeps per read.
-        sweeps: usize,
-    },
-    /// Bit-parallel simulated annealing (64 replicas per word).
-    BitParallel {
         /// Sweeps per read.
         sweeps: usize,
     },
@@ -365,10 +361,7 @@ impl Stage for SampleStage<'_> {
         let mut phases = Vec::new();
         let set = match self.solver {
             SolverChoice::Exact => ExactSolver::new().sample(&model, self.num_reads),
-            SolverChoice::Sa { sweeps } => SimulatedAnnealing::new(self.seed)
-                .with_sweeps(*sweeps)
-                .sample(&model, self.num_reads),
-            SolverChoice::BitParallel { sweeps } => BitParallelSa::new(self.seed)
+            SolverChoice::Sa { sweeps } => BitParallelSa::new(self.seed)
                 .with_sweeps(*sweeps)
                 .sample(&model, self.num_reads),
             SolverChoice::ParallelTempering { sweeps, rungs } => ParallelTempering::new(self.seed)
@@ -785,11 +778,10 @@ mod tests {
 
     #[test]
     fn bit_parallel_solver_choices_find_valid_solutions() {
-        // The packed-lane samplers are drop-in SolverChoice variants:
-        // each must decode a valid 1+1=2 execution like scalar SA does.
+        // Tempering and population annealing share SA's packed-lane
+        // kernel: each must decode a valid 1+1=2 execution like SA does.
         let program = compiled();
         for solver in [
-            SolverChoice::BitParallel { sweeps: 200 },
             SolverChoice::ParallelTempering {
                 sweeps: 200,
                 rungs: 8,

@@ -7,11 +7,9 @@
 //!
 //! * [`ExactSolver`] — exhaustive enumeration (the oracle for tests and
 //!   small problems);
-//! * [`SimulatedAnnealing`] — multi-read Metropolis annealing with a
-//!   geometric β schedule, parallelized across reads;
-//! * [`BitParallelSa`] — the same annealing with 64 replicas packed per
-//!   machine word (multi-spin coding), an order of magnitude more
-//!   reads/sec than the scalar path;
+//! * [`BitParallelSa`] — multi-read Metropolis simulated annealing with
+//!   a geometric β schedule, 64 replicas packed per machine word
+//!   (multi-spin coding) and words spread across threads;
 //! * [`ParallelTempering`] — replica exchange across a fixed geometric
 //!   temperature ladder on the packed-lane kernel;
 //! * [`PopulationAnnealing`] — annealing with Boltzmann-weight
@@ -38,13 +36,13 @@
 //!
 //! ```
 //! use qac_pbf::{Ising, Spin};
-//! use qac_solvers::{Sampler, SimulatedAnnealing};
+//! use qac_solvers::{BitParallelSa, Sampler};
 //!
 //! // A ferromagnetic pair pinned up: ground state (+1, +1).
 //! let mut model = Ising::new(2);
 //! model.add_h(0, -1.0);
 //! model.add_j(0, 1, -1.0);
-//! let sampler = SimulatedAnnealing::new(7).with_sweeps(50);
+//! let sampler = BitParallelSa::new(7).with_sweeps(50);
 //! let result = sampler.sample(&model, 20);
 //! let best = result.best().unwrap();
 //! assert_eq!(best.spins, vec![Spin::Up, Spin::Up]);
@@ -59,7 +57,6 @@ mod exact;
 mod multispin;
 mod portfolio;
 mod qbsolv;
-mod sa;
 mod sample;
 mod sqa;
 mod tabu;
@@ -77,7 +74,6 @@ pub use multispin::{
 pub use portfolio::{Portfolio, Reseed};
 pub use qac_chimera::{Topology, TopologySpec};
 pub use qbsolv::QbsolvStyle;
-pub use sa::SimulatedAnnealing;
 pub use sample::{Sample, SampleSet, Sampler};
 pub use sqa::Sqa;
 pub use tabu::TabuSearch;

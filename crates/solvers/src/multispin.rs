@@ -1,12 +1,11 @@
 //! Bit-parallel multi-spin samplers: 64 replicas per machine word.
 //!
 //! Classical SA is the throughput floor for the paper's "run verifiers
-//! backward at scale" workflow (§2, §6), and the scalar
-//! [`SimulatedAnnealing`](crate::SimulatedAnnealing) path pays a
-//! cryptographic RNG draw and an `exp()` per Metropolis proposal. This
-//! module packs 64 *independent* replicas into one `u64` per variable
-//! (bit L = replica L's spin, 1 = [`Spin::Up`]) and sweeps all of them
-//! at once:
+//! backward at scale" workflow (§2, §6), where a textbook
+//! one-read-at-a-time Metropolis walk pays an `exp()` and a
+//! data-dependent branch per proposal. This module packs 64
+//! *independent* replicas into one `u64` per variable (bit L = replica
+//! L's spin, 1 = [`Spin::Up`]) and sweeps all of them at once:
 //!
 //! * flips are XOR masks, masked by an `active` lane set so partial
 //!   words (reads not a multiple of 64) never leak garbage lanes;
@@ -21,7 +20,8 @@
 //!   job/attempt, and embedding-restart families (DESIGN.md §13).
 //!
 //! Three samplers share the kernel: [`BitParallelSa`] (independent
-//! annealing restarts, the ≥10× replacement for the scalar path),
+//! annealing restarts — the crate's simulated annealer, behind
+//! `SolverChoice::Sa`),
 //! [`ParallelTempering`] (replica exchange across a fixed geometric β
 //! ladder with a deterministic even/odd swap schedule), and
 //! [`PopulationAnnealing`] (Boltzmann-weight systematic resampling).
@@ -398,9 +398,9 @@ impl LaneBlock {
 /// Derives the automatic β schedule from the model's energy scale:
 /// start hot enough to accept the largest single-flip move ~50% of the
 /// time, finish cold enough to freeze the smallest one to ~e⁻¹⁰.
-/// Shared verbatim with the scalar SA path so "equal sweep budget"
-/// comparisons anneal over the same temperatures.
-pub(crate) fn auto_beta_range(model: &Ising) -> (f64, f64) {
+/// Shared by every packed sampler so "equal sweep budget" comparisons
+/// anneal over the same temperatures.
+fn auto_beta_range(model: &Ising) -> (f64, f64) {
     let adj = model.csr_adjacency();
     // Max |ΔE| of a single flip, bounded by 2(|h| + Σ|J|) per site.
     let mut max_delta = 0.0f64;
@@ -423,8 +423,7 @@ pub(crate) fn auto_beta_range(model: &Ising) -> (f64, f64) {
 }
 
 /// The geometric per-sweep β ladder, pre-cast to f32 (the schedule is
-/// derived in f64 exactly like the scalar path, then each sweep's value
-/// is truncated once).
+/// derived in f64, then each sweep's value is truncated once).
 fn beta_ladder(betas: (f64, f64), sweeps: usize) -> Vec<f32> {
     let (beta_min, beta_max) = betas;
     let sweeps = sweeps.max(1);
@@ -441,8 +440,9 @@ fn beta_ladder(betas: (f64, f64), sweeps: usize) -> Vec<f32> {
 
 /// Emits the per-sampler telemetry contract: a reads-per-second gauge
 /// plus deterministic sweep and flip counters. A packed sampler's sweep
-/// is one full-model sweep of one 64-lane word, scalar SA's is one sweep
-/// of one read, and tabu's is one step (a scan of every candidate flip).
+/// is one full-model sweep of one 64-lane word (so 100 reads of SA count
+/// two word sweeps per schedule step), and tabu's is one step
+/// (a scan of every candidate flip).
 pub(crate) fn emit_sampler_metrics(
     name: &str,
     num_reads: usize,
@@ -469,9 +469,10 @@ pub(crate) fn emit_sampler_metrics(
     );
 }
 
-/// Bit-parallel simulated annealing: the drop-in multi-spin replacement
-/// for [`SimulatedAnnealing`](crate::SimulatedAnnealing), annealing 64
-/// independent replicas per word with the same geometric β schedule.
+/// Simulated annealing (Kirkpatrick et al. 1983), the classical
+/// counterpart of quantum annealing the paper contrasts against in §2:
+/// independent Metropolis restarts on a geometric β schedule, 64 replicas
+/// per word, each finished by a greedy descent to its local minimum.
 ///
 /// Reads are replica lanes seeded from [`lane_seed`], so results are
 /// deterministic for a fixed seed at any thread count, and a prefix of
@@ -502,8 +503,10 @@ impl BitParallelSa {
         self
     }
 
-    /// Sets the number of full-model sweeps per read (clamped ≥ 1,
-    /// matching the scalar path).
+    /// Sets the number of full-model sweeps per read.
+    ///
+    /// Clamped to at least 1: zero sweeps would return unannealed
+    /// random spins, so 0 silently behaves as 1.
     pub fn with_sweeps(mut self, sweeps: usize) -> BitParallelSa {
         self.sweeps = sweeps.max(1);
         self
@@ -570,7 +573,7 @@ impl BitParallelSa {
                 }
                 flight.record(
                     qac_telemetry::FlightKind::SamplerMilestone,
-                    "bp",
+                    "sa",
                     ((w + 1) * 64).min(num_reads) as f64,
                 );
             }
@@ -603,7 +606,7 @@ impl BitParallelSa {
                     flight.record_for(
                         trace,
                         qac_telemetry::FlightKind::SamplerMilestone,
-                        &format!("bp:thread:{t}"),
+                        &format!("sa:thread:{t}"),
                         done as f64,
                     );
                 });
@@ -701,7 +704,7 @@ impl Sampler for BitParallelSa {
         let (reads, flips, words) = self.run_words(model, num_reads);
         let set = SampleSet::from_reads(model, reads);
         emit_sampler_metrics(
-            "bp",
+            "sa",
             num_reads,
             started,
             (self.sweeps * words) as u64,
@@ -1326,6 +1329,41 @@ mod tests {
                 "seed {seed}: bp {best} vs exact {exact}"
             );
         }
+    }
+
+    #[test]
+    fn zero_sweeps_and_threads_clamp_to_one() {
+        let m = random_model(6, 8);
+        // with_sweeps(0)/with_threads(0) behave exactly as 1, not as "do
+        // nothing" — pinned here so the clamp stays intentional.
+        let clamped = BitParallelSa::new(5)
+            .with_sweeps(0)
+            .with_threads(0)
+            .sample(&m, 6);
+        let explicit = BitParallelSa::new(5)
+            .with_sweeps(1)
+            .with_threads(1)
+            .sample(&m, 6);
+        assert_eq!(clamped, explicit);
+        assert_eq!(clamped.total_reads(), 6);
+    }
+
+    #[test]
+    fn beta_range_override() {
+        let m = random_model(5, 6);
+        let bp = BitParallelSa::new(2).with_sweeps(100);
+        let overridden = bp.clone().with_beta_range(0.01, 20.0);
+        let set = overridden.sample(&m, 10);
+        assert_eq!(set.total_reads(), 10);
+        // The override reaches the kernel (not just the builder): the
+        // packed run still matches the oracle under the same schedule.
+        assert_eq!(set, overridden.sample_reference(&m, 10));
+        // Same as the automatic range when it spells out that range.
+        let (lo, hi) = auto_beta_range(&m);
+        assert_eq!(
+            bp.clone().with_beta_range(lo, hi).sample(&m, 10),
+            bp.sample(&m, 10)
+        );
     }
 
     #[test]

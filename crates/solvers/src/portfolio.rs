@@ -14,7 +14,7 @@ use qac_pbf::Ising;
 
 use crate::{
     BitParallelSa, DWaveSim, ParallelTempering, PopulationAnnealing, QbsolvStyle, SampleSet,
-    Sampler, SimulatedAnnealing, Sqa, TabuSearch,
+    Sampler, Sqa, TabuSearch,
 };
 
 /// Samplers that can produce a differently-seeded copy of themselves
@@ -23,12 +23,6 @@ use crate::{
 pub trait Reseed: Sized {
     /// A copy of this sampler whose base seed is `seed`.
     fn reseed(&self, seed: u64) -> Self;
-}
-
-impl Reseed for SimulatedAnnealing {
-    fn reseed(&self, seed: u64) -> SimulatedAnnealing {
-        self.clone().with_seed(seed)
-    }
 }
 
 impl Reseed for BitParallelSa {
@@ -205,7 +199,7 @@ mod tests {
     fn read_budget_is_preserved() {
         let m = frustrated_model(1, 10);
         for (arms, reads) in [(1, 10), (3, 10), (4, 7), (8, 3)] {
-            let p = Portfolio::new(SimulatedAnnealing::new(2).with_sweeps(20), arms);
+            let p = Portfolio::new(BitParallelSa::new(2).with_sweeps(20), arms);
             let set = p.sample(&m, reads);
             assert_eq!(set.total_reads(), reads, "arms={arms} reads={reads}");
         }
@@ -222,10 +216,10 @@ mod tests {
     fn at_least_as_good_as_the_worst_arm() {
         // The merged best is the min over arm bests by construction.
         let m = frustrated_model(3, 14);
-        let p = Portfolio::new(SimulatedAnnealing::new(0).with_sweeps(30), 4).with_seed(5);
+        let p = Portfolio::new(BitParallelSa::new(0).with_sweeps(30), 4).with_seed(5);
         let merged_best = p.sample(&m, 8).best().unwrap().energy;
         for arm in 0..4 {
-            let solo = SimulatedAnnealing::new(0)
+            let solo = BitParallelSa::new(0)
                 .with_sweeps(30)
                 .reseed(p.arm_seed(arm));
             let arm_best = solo.sample(&m, 2).best().unwrap().energy;
@@ -250,7 +244,7 @@ mod tests {
     #[test]
     fn zero_reads_and_zero_arms_degrade_gracefully() {
         let m = frustrated_model(4, 6);
-        let p = Portfolio::new(SimulatedAnnealing::new(1).with_sweeps(5), 0);
+        let p = Portfolio::new(BitParallelSa::new(1).with_sweeps(5), 0);
         assert_eq!(p.arms(), 1);
         let set = p.sample(&m, 0);
         assert_eq!(set.total_reads(), 0);

@@ -1,6 +1,6 @@
 //! Golden per-seed sample regression for the classical samplers.
 //!
-//! The CSR conversion of SA/tabu/SQA (shared [`qac_pbf::CsrAdjacency`] +
+//! The CSR conversion of tabu/SQA (shared [`qac_pbf::CsrAdjacency`] +
 //! [`qac_pbf::Ising::flip_delta_csr`] in place of per-sample
 //! `Vec<Vec<(usize, f64)>>` adjacency) is required to be byte-identical
 //! per seed: CSR rows preserve the `BTreeMap` coupling order, and the
@@ -11,8 +11,7 @@
 
 use qac_pbf::Ising;
 use qac_solvers::{
-    BitParallelSa, ParallelTempering, PopulationAnnealing, Sampler, SimulatedAnnealing, Sqa,
-    TabuSearch,
+    BitParallelSa, ParallelTempering, PopulationAnnealing, Sampler, Sqa, TabuSearch,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -86,22 +85,6 @@ fn assert_golden(name: &str, make: &dyn Fn(u64) -> Box<dyn Sampler>, expected: [
 }
 
 #[test]
-fn sa_samples_match_pre_csr_goldens() {
-    let model = golden_model();
-    let sa = SimulatedAnnealing::new(41).with_sweeps(60).with_threads(1);
-    let set = sa.sample(&model, 5);
-    assert_eq!(
-        encode(&set),
-        [
-            "1x11001000101011@-11.533247044438",
-            "3x00010010011000@-11.203273316062",
-            "1x11001001100011@-11.112280257144",
-        ],
-        "SA seed 41 drifted from the pre-CSR sample distribution"
-    );
-}
-
-#[test]
 fn tabu_samples_match_pre_csr_goldens() {
     let model = golden_model();
     let set = TabuSearch::new(42).sample(&model, 5);
@@ -133,7 +116,7 @@ fn sqa_samples_match_pre_csr_goldens() {
 #[test]
 fn bit_parallel_sa_samples_match_goldens() {
     assert_golden(
-        "bp",
+        "sa",
         &|seed| Box::new(BitParallelSa::new(seed).with_sweeps(60)),
         [
             &[

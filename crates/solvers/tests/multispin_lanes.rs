@@ -17,13 +17,12 @@
 //! 3. **Parallel-tempering sanity** — the deterministic swap schedule
 //!    must actually exchange temperatures (nonzero accepted swaps on a
 //!    frustrated model), must not depend on thread count, and must not
-//!    make the sampler *worse* than scalar SA at an equal sweep budget.
+//!    make the sampler *worse* than plain SA at an equal sweep budget.
 
 use proptest::prelude::*;
 use qac_pbf::Ising;
 use qac_solvers::{
     BitParallelSa, ExactSolver, ParallelTempering, PopulationAnnealing, SampleSet, Sampler,
-    SimulatedAnnealing,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,7 +112,7 @@ fn partial_words_mask_inactive_lanes() {
         let model = chain(n);
         let ground = if n == 1 { -0.1 } else { chain_ground(n) };
         let samplers: [(&str, Box<dyn Sampler>); 3] = [
-            ("bp", Box::new(BitParallelSa::new(5).with_sweeps(80))),
+            ("sa", Box::new(BitParallelSa::new(5).with_sweeps(80))),
             ("pt", Box::new(ParallelTempering::new(5).with_sweeps(80))),
             ("pa", Box::new(PopulationAnnealing::new(5).with_sweeps(80))),
         ];
@@ -217,7 +216,7 @@ fn pt_swaps_are_active_and_thread_invariant() {
 }
 
 #[test]
-fn pt_is_no_worse_than_scalar_sa_at_equal_sweeps() {
+fn pt_is_no_worse_than_sa_at_equal_sweeps() {
     let model = frustrated_12();
     let ground = ExactSolver::new().minimum_energy(&model);
     let sweeps = 64;
@@ -226,7 +225,7 @@ fn pt_is_no_worse_than_scalar_sa_at_equal_sweeps() {
     let pt_set = ParallelTempering::new(9)
         .with_sweeps(sweeps)
         .sample(&model, reads);
-    let sa_set = SimulatedAnnealing::new(9)
+    let sa_set = BitParallelSa::new(9)
         .with_sweeps(sweeps)
         .sample(&model, reads);
 
@@ -239,7 +238,7 @@ fn pt_is_no_worse_than_scalar_sa_at_equal_sweeps() {
     let sa_ground = sa_set.ground_fraction(1e-6);
     assert!(
         pt_ground >= sa_ground,
-        "PT reached the ground on {:.0}% of reads but scalar SA managed \
+        "PT reached the ground on {:.0}% of reads but SA managed \
          {:.0}% at the same sweep budget",
         pt_ground * 100.0,
         sa_ground * 100.0
@@ -252,7 +251,7 @@ fn all_packed_samplers_are_thread_invariant() {
     type MakeSampler = Box<dyn Fn(usize) -> Box<dyn Sampler>>;
     let cases: [(&str, MakeSampler); 3] = [
         (
-            "bp",
+            "sa",
             Box::new(|t| Box::new(BitParallelSa::new(21).with_sweeps(48).with_threads(t))),
         ),
         (

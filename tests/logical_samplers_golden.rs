@@ -1,8 +1,9 @@
 //! Golden output of the logical (software) samplers.
 //!
-//! Scalar simulated annealing and tabu search are deterministic per
-//! seed, so a run's decoded samples — every assignment, its energy to
-//! the bit, its occurrence count and validity — are a fixed function of
+//! Simulated annealing (the packed-lane kernel) and tabu search are
+//! deterministic per seed, so a run's decoded samples — every
+//! assignment, its energy to the bit, its occurrence count and
+//! validity — are a fixed function of
 //! (program, pins, sampler, seed, reads). This test pins that function
 //! for the job shapes of the examples path: tabu factoring 143 on the
 //! 4-bit multiplier, tabu running the 3-step counter backward, 384-sweep
