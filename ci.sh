@@ -108,15 +108,18 @@ echo "==> incremental gate (edit turnaround: skip/splice budgets + speedup floor
 cargo run --release -q -p qac-bench --bin experiments -- \
     edit --trace-json "$tmpdir/edit.jsonl" --metrics "$tmpdir/edit.prom" \
     > /dev/null
-# The stage-miss and re-embed counters are deterministic: the canonical
-# one-gate edit re-runs exactly 9 stages per workload (18 across the
-# two, certify included) and repairs both embeddings without falling back to full
-# routing, so the budgets are exact — one extra miss means a stage lost
-# its incrementality, and `--gauge-min qac_incr_reembed_partial_total=2`
-# (floors read any Prometheus sample) asserts neither re-embed took the
-# full-routing fallback. The speedup floors are same-machine ratios:
-# warm-vs-cold on the same host, so they hold on slow CI runners too
-# (today: ~260x on australia, ~22x on figure2). The certify counters
+# The stage-miss and embedding-cache counters are deterministic: the
+# canonical one-gate edit re-runs exactly 9 stages per workload (18
+# across the two, certify included), so one extra miss means a stage
+# lost its incrementality. Each workload warms its own embedding cache
+# with the pre-edit embedding (one miss) and then looks the edited
+# program up in it (one hit), so both lookup counters are pinned at
+# exactly 2 from both sides (--gauge-min floors read any Prometheus
+# sample): a third miss, or fewer than 2 hits, means a warm embed
+# routed instead of reusing the pre-edit embedding. The speedup floors
+# are same-machine ratios: warm-vs-cold on the same host, so they hold
+# on slow CI runners too (today: ~170x on australia, ~20x on figure2).
+# The certify counters
 # pin the warm re-proof work exactly: the dirty cones across the two
 # edits re-prove 39 obligations while fingerprint reuse splices exactly
 # 9 — a skipped count above 9 means certification is reusing proofs for
@@ -125,8 +128,10 @@ cargo run --release -q -p qac-bench --bin experiments -- \
 cargo run --release -q -p qac-bench --bin telemetry_check -- \
     "$tmpdir/edit.jsonl" "$tmpdir/edit.prom" \
     --counter-max qac_incr_stage_miss_total=18 \
-    --counter-max qac_incr_reembed_partial_total=2 \
-    --gauge-min qac_incr_reembed_partial_total=2 \
+    --counter-max qac_embed_cache_hits_total=2 \
+    --gauge-min qac_embed_cache_hits_total=2 \
+    --counter-max qac_embed_cache_misses_total=2 \
+    --gauge-min qac_embed_cache_misses_total=2 \
     --counter-max qac_cert_obligations_skipped_total=9 \
     --gauge-min qac_cert_obligations_skipped_total=9 \
     --gauge-min 'qac_bench_incremental_speedup{workload="australia"}=10' \
@@ -183,9 +188,11 @@ echo "==> perf-regression gate (BENCH_pr8.json -> BENCH_pr9.json)"
 # report-only because the two baselines may come from different
 # machines. The gate fails if any deterministic gauge regressed beyond
 # budget or vanished from the new baseline. The --gauge-min floors pin
-# the acceptance bars: the bit-parallel sampler must stay >= 10x scalar
-# SA reads/sec on figure2 and australia (PR8), and the warm edit path
-# must stay >= 10x faster than cold on australia (PR9). Both speedup
+# the acceptance bars recorded in the committed BENCH_pr8/pr9 files: the
+# bit-parallel sampler's >= 10x over the scalar SA those files measured
+# on figure2 and australia (PR8; scalar SA has since been deleted, so
+# these floors check the committed numbers only, not today's code), and
+# the warm edit path's >= 10x over cold on australia (PR9). Both speedup
 # gauges are same-machine ratios, so the floors are machine-independent
 # even though the raw reads-per-second and wall-time gauges are not.
 cargo run --release -q -p qac-bench --bin telemetry_check -- \

@@ -9,8 +9,8 @@
 use std::time::Instant;
 
 use qac_chimera::{
-    find_embedding_or_clique_with_stats, Chimera, EmbedOptions, KingGraph, Pegasus, Topology,
-    Zephyr,
+    find_embedding_or_clique_with_stats, Chimera, EmbedOptions, EmbeddingCache, KingGraph, Pegasus,
+    Topology, Zephyr,
 };
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
 use qac_solvers::{BitParallelSa, ParallelTempering, PopulationAnnealing, SampleSet, Sampler};
@@ -190,39 +190,23 @@ pub fn bench_baseline_json() -> String {
 
     // Edit-turnaround baseline: the canonical one-gate edit paid for
     // cold (recompile + re-embed from scratch) and warm (incremental
-    // compile + seeded chain repair, DESIGN.md §14). The speedup gauge
-    // is a same-machine ratio, so CI pins an absolute `--gauge-min`
-    // floor on it (≥10× on australia, whose cold cost is dominated by
-    // the minor embed the warm path mostly reuses). Both paths are
-    // asserted byte-identical before anything is recorded: a warm
-    // compile that drifted from cold would make the speedup meaningless.
+    // compile + an embedding-cache lookup warmed with the pre-edit
+    // embedding, DESIGN.md §14). The speedup gauge is a same-machine
+    // ratio, so CI pins an absolute `--gauge-min` floor on it (≥10× on
+    // australia, whose cold cost is dominated by the minor embed the warm
+    // path reuses). Both paths are asserted byte-identical before
+    // anything is recorded: a warm compile that drifted from cold would
+    // make the speedup meaningless.
     for (name, source, top) in [
         ("figure2", FIGURE2, "circuit"),
         ("australia", AUSTRALIA, "australia"),
     ] {
-        let embed_options = EmbedOptions {
-            seed: 11,
-            ..Default::default()
-        };
         let compile_options = qac_core::CompileOptions::default();
         let base = compile_workload(source, top).netlist;
         let prev = qac_core::compile_netlist(base.clone(), &compile_options)
             .expect("pre-edit compile succeeds");
-        let logical = |compiled: &qac_core::Compiled| -> (Vec<(usize, usize)>, usize) {
-            let scaled = scale_to_range(&compiled.assembled.ising, CoefficientRange::DWAVE_2000Q);
-            (
-                scaled.model.j_iter().map(|t| (t.i, t.j)).collect(),
-                scaled.model.num_vars(),
-            )
-        };
-        let (prev_edges, prev_vars) = logical(&prev);
-        let (prev_embedding, _) = qac_chimera::find_embedding_with_stats(
-            &prev_edges,
-            prev_vars,
-            &hardware,
-            &embed_options,
-        )
-        .expect("pre-edit embed succeeds");
+        let cache = EmbeddingCache::new();
+        crate::experiments::embed_for_edit(&prev, &chimera, &hardware, Some(&cache));
         let (edited, _) = crate::experiments::canonical_gate_edit(&base);
 
         // Best of three on both sides, same argument as the sampler
@@ -234,10 +218,8 @@ pub fn bench_baseline_json() -> String {
             let start = Instant::now();
             let compiled =
                 qac_core::compile_netlist(edited.clone(), &compile_options).expect("cold compile");
-            let (edges, num_vars) = logical(&compiled);
-            let (embedding, _) =
-                qac_chimera::find_embedding_with_stats(&edges, num_vars, &hardware, &embed_options)
-                    .expect("cold embed");
+            let (embedding, edges) =
+                crate::experiments::embed_for_edit(&compiled, &chimera, &hardware, None);
             cold_us = cold_us.min(start.elapsed().as_secs_f64() * 1e6);
             assert!(embedding.validate(&edges, &hardware));
             cold = Some(compiled);
@@ -249,18 +231,8 @@ pub fn bench_baseline_json() -> String {
             let (warm, _) =
                 qac_core::compile_netlist_incremental(&prev, edited.clone(), &compile_options)
                     .expect("warm compile");
-            let (edges, num_vars) = logical(&warm);
-            let dirty = qac_core::dirty_variables(&prev.assembled, &warm.assembled)
-                .expect("a gate swap keeps the variable space comparable");
-            let (embedding, _) = qac_chimera::find_embedding_incremental(
-                &edges,
-                num_vars,
-                &hardware,
-                &embed_options,
-                &prev_embedding,
-                &dirty,
-            )
-            .expect("warm embed");
+            let (embedding, edges) =
+                crate::experiments::embed_for_edit(&warm, &chimera, &hardware, Some(&cache));
             warm_us = warm_us.min(start.elapsed().as_secs_f64() * 1e6);
             assert!(
                 embedding.validate(&edges, &hardware),

@@ -8,21 +8,26 @@
 //! * **cold** — recompile the edited netlist from scratch and re-embed
 //!   the result with no prior knowledge;
 //! * **warm** — [`qac_core::compile_netlist_incremental`] seeded with
-//!   the pre-edit compile, then [`qac_chimera::find_embedding_incremental`]
-//!   seeded with the pre-edit embedding and the dirtied-variable set.
+//!   the pre-edit compile, then an [`EmbeddingCache`] lookup warmed with
+//!   the pre-edit embedding. The cache key leaves out coefficients, and
+//!   a dual-gate swap keeps every coupling, so the lookup hits.
 //!
 //! Both paths must produce byte-identical artifacts and a validating
 //! embedding; the ratio is published as
 //! `qac_bench_incremental_speedup{workload=...}` on the global recorder
 //! so CI can pin an absolute floor on it, alongside the `qac_incr_*`
-//! skip/re-embed counters the warm path increments.
+//! stage counters and the `qac_embed_cache_*` lookups the warm path
+//! increments.
 
 use std::time::Instant;
 
-use qac_chimera::{find_embedding_with_stats, Chimera, EmbedOptions, Embedding};
+use qac_chimera::{
+    find_embedding_with_stats, CacheStats, Chimera, EmbedOptions, Embedding, EmbeddingCache,
+    HardwareGraph,
+};
 use qac_core::{
-    artifact_mismatch, compile_netlist, compile_netlist_incremental, dirty_variables,
-    CompileOptions, Compiled, IncrementalReport,
+    artifact_mismatch, compile_netlist, compile_netlist_incremental, CompileOptions, Compiled,
+    IncrementalReport,
 };
 use qac_netlist::{CellKind, Netlist};
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
@@ -32,7 +37,7 @@ use crate::{compile_workload, AUSTRALIA, FIGURE2};
 /// Workloads the edit loop is measured on: the small Figure 2 circuit
 /// (compile-dominated) and the §6 map-coloring program (embed-dominated
 /// — its cold minor embed costs ~200× its compile, which is where the
-/// warm path's partial re-embed earns the speedup floor CI pins).
+/// warm path's cache hit earns the speedup floor CI pins).
 const WORKLOADS: &[(&str, &str, &str)] = &[
     ("figure2", FIGURE2, "circuit"),
     ("australia", AUSTRALIA, "australia"),
@@ -75,24 +80,33 @@ struct Row {
     warm_us: f64,
     skipped: usize,
     report: IncrementalReport,
-    dirty: usize,
-    num_vars: usize,
+    cache: CacheStats,
 }
 
-/// Embeds a compiled program on the 2000Q fabric (seed 11, the baseline
-/// convention), returning the embedding and its logical edge list.
-fn embed_cold(compiled: &Compiled, chimera: &Chimera) -> (Embedding, Vec<(usize, usize)>) {
+/// Embeds one compile of the edit loop on the 2000Q fabric (seed 11, the
+/// baseline convention), returning the embedding and the logical edge
+/// list it must validate against. With a `cache` the embedding comes
+/// from the lookup `DWaveSim::run` uses and is routed only on a miss;
+/// without one it is always routed from scratch. Shared by the `edit`
+/// experiment, the `compile_edit` criterion pair, and the BENCH baseline.
+pub fn embed_for_edit(
+    compiled: &Compiled,
+    chimera: &Chimera,
+    hardware: &HardwareGraph,
+    cache: Option<&EmbeddingCache>,
+) -> (Embedding, Vec<(usize, usize)>) {
     let scaled = scale_to_range(&compiled.assembled.ising, CoefficientRange::DWAVE_2000Q);
     let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-    let (embedding, _) = find_embedding_with_stats(
-        &edges,
-        scaled.model.num_vars(),
-        &chimera.graph(),
-        &EmbedOptions {
-            seed: 11,
-            ..Default::default()
-        },
-    )
+    let num_vars = scaled.model.num_vars();
+    let options = EmbedOptions {
+        seed: 11,
+        ..Default::default()
+    };
+    let route = || find_embedding_with_stats(&edges, num_vars, hardware, &options);
+    let (embedding, _) = match cache {
+        Some(cache) => cache.get_or_embed_on(chimera, &edges, num_vars, &options, hardware, route),
+        None => route(),
+    }
     .expect("edit workloads embed on a 2000Q");
     (embedding, edges)
 }
@@ -103,45 +117,30 @@ fn measure(workload: &'static str, source: &str, top: &str) -> Row {
     let hardware = chimera.graph();
 
     // The pre-edit state a warm editor session would already hold: a
-    // compiled netlist and its embedding.
+    // compiled netlist and a cache holding its embedding.
     let base = compile_workload(source, top).netlist;
     let prev = compile_netlist(base.clone(), &options).expect("pre-edit compile succeeds");
-    let (prev_embedding, _) = embed_cold(&prev, &chimera);
+    let cache = EmbeddingCache::new();
+    embed_for_edit(&prev, &chimera, &hardware, Some(&cache));
 
     let (edited, edit) = canonical_gate_edit(&base);
 
     // Cold: recompile + re-embed with no prior knowledge.
     let start = Instant::now();
     let cold = compile_netlist(edited.clone(), &options).expect("cold compile succeeds");
-    let (cold_embedding, cold_edges) = embed_cold(&cold, &chimera);
+    let (cold_embedding, cold_edges) = embed_for_edit(&cold, &chimera, &hardware, None);
     let cold_us = start.elapsed().as_secs_f64() * 1e6;
     assert!(cold_embedding.validate(&cold_edges, &hardware));
 
-    // Warm: recompile reusing clean proofs, rip up only the dirtied
-    // chains.
+    // Warm: recompile reusing clean proofs, then look the embedding up.
     let start = Instant::now();
     let (warm, report) =
         compile_netlist_incremental(&prev, edited, &options).expect("warm compile succeeds");
-    let scaled = scale_to_range(&warm.assembled.ising, CoefficientRange::DWAVE_2000Q);
-    let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-    let dirty = dirty_variables(&prev.assembled, &warm.assembled)
-        .expect("a gate swap keeps the variable space comparable");
-    let (warm_embedding, _) = qac_chimera::find_embedding_incremental(
-        &edges,
-        scaled.model.num_vars(),
-        &hardware,
-        &EmbedOptions {
-            seed: 11,
-            ..Default::default()
-        },
-        &prev_embedding,
-        &dirty,
-    )
-    .expect("warm embed succeeds");
+    let (warm_embedding, edges) = embed_for_edit(&warm, &chimera, &hardware, Some(&cache));
     let warm_us = start.elapsed().as_secs_f64() * 1e6;
 
     // The warm path must not trade correctness for speed: artifacts are
-    // byte-identical to cold and the repaired embedding validates.
+    // byte-identical to cold and the reused embedding validates.
     assert_eq!(
         artifact_mismatch(&cold, &warm),
         None,
@@ -166,7 +165,6 @@ fn measure(workload: &'static str, source: &str, top: &str) -> Row {
         cold_us / warm_us.max(1e-9),
     );
 
-    let num_vars = dirty.len();
     Row {
         workload,
         edit,
@@ -174,16 +172,15 @@ fn measure(workload: &'static str, source: &str, top: &str) -> Row {
         warm_us,
         skipped: report.skipped(),
         report,
-        dirty: dirty.iter().filter(|&&d| d).count(),
-        num_vars,
+        cache: cache.stats(),
     }
 }
 
 /// Runs the edit-recompile loop measurement and prints the table.
 pub fn run_edit() {
-    println!("== edit: incremental recompile + partial re-embed vs cold ==");
+    println!("== edit: incremental recompile + cached embedding vs cold ==");
     println!(
-        "(one-gate edit; cold = compile + embed from scratch, warm = incremental compile + chain repair)"
+        "(one-gate edit; cold = compile + embed from scratch, warm = incremental compile + cache lookup)"
     );
     println!();
     let rows: Vec<Row> = WORKLOADS
@@ -192,19 +189,18 @@ pub fn run_edit() {
         .collect();
 
     println!(
-        "{:<10} {:>12} {:>12} {:>9} {:>14} {:>13}",
-        "workload", "cold (µs)", "warm (µs)", "speedup", "stages skipped", "dirty chains"
+        "{:<10} {:>12} {:>12} {:>9} {:>14} {:>14}",
+        "workload", "cold (µs)", "warm (µs)", "speedup", "stages skipped", "embed hit/miss"
     );
     for row in &rows {
         println!(
-            "{:<10} {:>12.0} {:>12.0} {:>8.1}x {:>14} {:>10}/{}",
+            "{:<10} {:>12.0} {:>12.0} {:>8.1}x {:>14} {:>14}",
             row.workload,
             row.cold_us,
             row.warm_us,
             row.cold_us / row.warm_us.max(1e-9),
             format!("{}/{}", row.skipped, row.report.stages.len()),
-            row.dirty,
-            row.num_vars,
+            format!("{}/{}", row.cache.hits, row.cache.misses),
         );
     }
 

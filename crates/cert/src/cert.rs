@@ -760,6 +760,12 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let err = CompileCertificate::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+    }
+
+    #[test]
     fn truth_hash_separates_fields() {
         let w = [0xffu64];
         let a = truth_hash("z", &["a".into()], &w);

@@ -12,11 +12,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::embed::{find_embedding_incremental, EmbedOptions, EmbedStats, Embedding};
+use crate::embed::{EmbedOptions, EmbedStats, Embedding};
 use crate::topology::Topology;
 use crate::{EmbedError, HardwareGraph};
 
@@ -48,66 +47,6 @@ impl Fnv {
 
     pub(crate) fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-/// First token of a snapshot file's header line.
-const SNAPSHOT_MAGIC: &str = "qac-embedding-cache";
-
-/// Snapshot format version; bump on any layout change so stale files
-/// are rejected instead of misread.
-const SNAPSHOT_VERSION: u32 = 1;
-
-/// Why [`EmbeddingCache::load`] rejected a snapshot file.
-#[derive(Debug)]
-pub enum SnapshotError {
-    /// Reading the file itself failed.
-    Io(std::io::Error),
-    /// The file parses as a snapshot but was written by a different
-    /// format version.
-    VersionMismatch {
-        /// The version token found in the header.
-        found: String,
-    },
-    /// The snapshot was saved for a different hardware family or size.
-    TopologyMismatch {
-        /// `family parameter_hash` the caller expected.
-        expected: String,
-        /// `family parameter_hash` stamped in the file.
-        found: String,
-    },
-    /// The file is malformed: bad magic, failed checksum, or an
-    /// unparseable line.
-    Corrupt(String),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "snapshot i/o error: {e}"),
-            SnapshotError::VersionMismatch { found } => {
-                write!(
-                    f,
-                    "snapshot version mismatch: found {found}, want v{SNAPSHOT_VERSION}"
-                )
-            }
-            SnapshotError::TopologyMismatch { expected, found } => {
-                write!(
-                    f,
-                    "snapshot topology mismatch: saved for {found}, loading on {expected}"
-                )
-            }
-            SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotError::Io(e) => Some(e),
-            _ => None,
-        }
     }
 }
 
@@ -283,31 +222,6 @@ impl EmbeddingCache {
         self.get_or_embed_keyed(key, Some(topology.family()), embed)
     }
 
-    /// [`EmbeddingCache::get_or_embed`] whose miss path repairs a
-    /// previous embedding instead of routing from scratch: on a miss the
-    /// cache calls [`find_embedding_incremental`], which keeps every
-    /// chain of a clean (`!dirty[v]`) variable and reroutes only the
-    /// dirtied ones, falling back to a full route when the seed cannot
-    /// be repaired (DESIGN.md §14). The result is stored under the *new*
-    /// problem's key, so later identical lookups are plain hits.
-    ///
-    /// # Errors
-    /// Whatever the seeded embed (or its full-routing fallback) returns.
-    pub fn get_or_embed_incremental(
-        &self,
-        edges: &[(usize, usize)],
-        num_vars: usize,
-        options: &EmbedOptions,
-        hardware: &HardwareGraph,
-        prev: &Embedding,
-        dirty: &[bool],
-    ) -> Result<(Embedding, EmbedStats), EmbedError> {
-        let key = embedding_key(edges, num_vars, options, hardware);
-        self.get_or_embed_keyed(key, None, || {
-            find_embedding_incremental(edges, num_vars, hardware, options, prev, dirty)
-        })
-    }
-
     fn get_or_embed_keyed<F>(
         &self,
         key: u64,
@@ -409,157 +323,6 @@ impl EmbeddingCache {
         self.lock().clear();
     }
 
-    /// Writes every cached entry to `path` in the versioned snapshot
-    /// format (see [`EmbeddingCache::load`]). The snapshot is stamped
-    /// with `topology`'s family and
-    /// [`parameter_hash`](Topology::parameter_hash), so it can only be
-    /// loaded back against the same hardware family and size, and ends
-    /// with an FNV-1a checksum over the body. Entries are written in key
-    /// order, so equal caches produce byte-identical snapshots.
-    ///
-    /// # Errors
-    /// Any I/O error from writing `path`.
-    pub fn save<T: Topology + ?Sized>(&self, topology: &T, path: &Path) -> std::io::Result<()> {
-        let mut body = String::new();
-        body.push_str(&format!("{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}\n"));
-        body.push_str(&format!(
-            "topology {} {:016x}\n",
-            topology.family(),
-            topology.parameter_hash()
-        ));
-        let entries: Vec<(u64, Embedding)> = {
-            let guard = self.lock();
-            let mut entries: Vec<(u64, Embedding)> =
-                guard.iter().map(|(&k, e)| (k, e.clone())).collect();
-            entries.sort_unstable_by_key(|&(k, _)| k);
-            entries
-        };
-        body.push_str(&format!("entries {}\n", entries.len()));
-        for (key, embedding) in entries {
-            body.push_str(&format!("entry {key:016x} {}\n", embedding.num_vars()));
-            for chain in embedding.chains() {
-                body.push_str("chain");
-                for &q in chain {
-                    body.push_str(&format!(" {q}"));
-                }
-                body.push('\n');
-            }
-        }
-        let mut h = Fnv::new();
-        h.write_bytes(body.as_bytes());
-        body.push_str(&format!("checksum {:016x}\n", h.finish()));
-        std::fs::write(path, body)
-    }
-
-    /// Reads a snapshot written by [`EmbeddingCache::save`] into a fresh
-    /// cache (counters start at zero; the loaded entries count as
-    /// pre-warmed, not as misses).
-    ///
-    /// The snapshot is rejected — never partially loaded — when the
-    /// magic or version line does not match, when the stamped topology
-    /// family or parameter hash differs from `topology`'s, when the
-    /// trailing checksum does not cover the body bytes, or when any
-    /// line fails to parse.
-    ///
-    /// # Errors
-    /// [`SnapshotError`] describing the first rejection reason.
-    pub fn load<T: Topology + ?Sized>(
-        topology: &T,
-        path: &Path,
-    ) -> Result<EmbeddingCache, SnapshotError> {
-        let corrupt = |what: &str| SnapshotError::Corrupt(what.to_string());
-        let text = std::fs::read_to_string(path).map_err(SnapshotError::Io)?;
-
-        // Split off and verify the checksum line first: everything else
-        // is only trustworthy if the body bytes are intact.
-        let body_end = text
-            .trim_end_matches('\n')
-            .rfind('\n')
-            .map(|idx| idx + 1)
-            .ok_or_else(|| corrupt("snapshot has no checksum line"))?;
-        let (body, trailer) = text.split_at(body_end);
-        let stated = trailer
-            .trim_end()
-            .strip_prefix("checksum ")
-            .ok_or_else(|| corrupt("last line is not a checksum"))?;
-        let stated =
-            u64::from_str_radix(stated, 16).map_err(|_| corrupt("unparseable checksum"))?;
-        let mut h = Fnv::new();
-        h.write_bytes(body.as_bytes());
-        if h.finish() != stated {
-            return Err(corrupt("checksum mismatch (truncated or edited snapshot)"));
-        }
-
-        let mut lines = body.lines();
-        let header = lines.next().ok_or_else(|| corrupt("empty snapshot"))?;
-        match header.strip_prefix(SNAPSHOT_MAGIC) {
-            Some(version) if version == format!(" v{SNAPSHOT_VERSION}") => {}
-            Some(version) => {
-                return Err(SnapshotError::VersionMismatch {
-                    found: version.trim().to_string(),
-                })
-            }
-            None => return Err(corrupt("not an embedding-cache snapshot")),
-        }
-        let topo_line = lines
-            .next()
-            .and_then(|l| l.strip_prefix("topology "))
-            .ok_or_else(|| corrupt("missing topology line"))?;
-        let (family, hash) = topo_line
-            .split_once(' ')
-            .ok_or_else(|| corrupt("malformed topology line"))?;
-        let hash =
-            u64::from_str_radix(hash, 16).map_err(|_| corrupt("unparseable topology hash"))?;
-        if family != topology.family() || hash != topology.parameter_hash() {
-            return Err(SnapshotError::TopologyMismatch {
-                expected: format!("{} {:016x}", topology.family(), topology.parameter_hash()),
-                found: format!("{family} {hash:016x}"),
-            });
-        }
-        let count: usize = lines
-            .next()
-            .and_then(|l| l.strip_prefix("entries "))
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| corrupt("missing or malformed entries line"))?;
-
-        let mut map = HashMap::with_capacity(count);
-        for _ in 0..count {
-            let entry = lines
-                .next()
-                .and_then(|l| l.strip_prefix("entry "))
-                .ok_or_else(|| corrupt("missing entry line"))?;
-            let (key, num_vars) = entry
-                .split_once(' ')
-                .ok_or_else(|| corrupt("malformed entry line"))?;
-            let key = u64::from_str_radix(key, 16).map_err(|_| corrupt("unparseable entry key"))?;
-            let num_vars: usize = num_vars
-                .parse()
-                .map_err(|_| corrupt("unparseable chain count"))?;
-            let mut chains = Vec::with_capacity(num_vars);
-            for _ in 0..num_vars {
-                let line = lines
-                    .next()
-                    .and_then(|l| l.strip_prefix("chain"))
-                    .ok_or_else(|| corrupt("missing chain line"))?;
-                let chain: Vec<usize> = line
-                    .split_whitespace()
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| corrupt("unparseable qubit index"))?;
-                chains.push(chain);
-            }
-            map.insert(key, Embedding::from_chains(chains));
-        }
-        if lines.next().is_some() {
-            return Err(corrupt("trailing data after the last entry"));
-        }
-        Ok(EmbeddingCache {
-            entries: Mutex::new(map),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        })
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Embedding>> {
         // A poisoned mutex means another thread panicked mid-insert; the
         // map itself is always in a consistent state.
@@ -571,6 +334,15 @@ impl EmbeddingCache {
 mod tests {
     use super::*;
     use crate::{find_embedding_with_stats, Chimera, KingGraph, Pegasus, Zephyr};
+
+    /// Every successful lookup bumps the process-wide telemetry counters,
+    /// which `lookups_emit_generic_counters_and_flight_events` reads
+    /// exactly; the tests that look up hold this lock so another test's
+    /// bumps cannot land inside its before/after window.
+    fn serial_lookups() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     fn triangle() -> Vec<(usize, usize)> {
         vec![(0, 1), (1, 2), (0, 2)]
@@ -590,6 +362,7 @@ mod tests {
 
     #[test]
     fn warm_lookup_is_a_hit_with_zero_route_iterations() {
+        let _serial = serial_lookups();
         let hw = Chimera::new(2).graph();
         let options = EmbedOptions::default();
         let cache = EmbeddingCache::new();
@@ -731,6 +504,7 @@ mod tests {
 
     #[test]
     fn stats_snapshot_matches_individual_accessors_at_quiescence() {
+        let _serial = serial_lookups();
         let hw = Chimera::new(2).graph();
         let options = EmbedOptions::default();
         let cache = EmbeddingCache::new();
@@ -754,6 +528,7 @@ mod tests {
 
     #[test]
     fn concurrent_hammer_loses_no_counter_updates() {
+        let _serial = serial_lookups();
         // The engine fans workers out over one shared cache; this is the
         // lost-update regression test. 8 threads × 24 lookups over 4
         // distinct keys: every lookup must be accounted as exactly one
@@ -811,6 +586,7 @@ mod tests {
 
     #[test]
     fn concurrent_hammer_across_mixed_topologies() {
+        let _serial = serial_lookups();
         // Same shape as the single-topology hammer, but the 8 threads
         // rotate over *topologies* instead of seeds: one triangle, one
         // option set, four families of similar scale. Every
@@ -864,6 +640,7 @@ mod tests {
 
     #[test]
     fn lookups_emit_generic_counters_and_flight_events() {
+        let _serial = serial_lookups();
         // The PR 7 satellite: alongside the qac_embed_* names, every
         // lookup bumps the generic qac_cache_hit/miss_total counters
         // (labeled by topology family + unlabeled aggregate) and leaves
@@ -920,152 +697,8 @@ mod tests {
     }
 
     #[test]
-    fn incremental_lookup_hits_then_repairs_then_hits() {
-        let hw = Chimera::new(2).graph();
-        let options = EmbedOptions::default();
-        let cache = EmbeddingCache::new();
-        let old_edges = triangle();
-        let (prev, _) = embed_triangle(&cache, &hw, &options);
-
-        // Same problem again, routed incrementally: the key matches, so
-        // this is a pure hit — no repair runs.
-        let (hit, stats) = cache
-            .get_or_embed_incremental(&old_edges, 3, &options, &hw, &prev, &[false; 3])
-            .unwrap();
-        assert!(stats.cache_hit);
-        assert_eq!(hit, prev);
-
-        // An edited problem misses and repairs the seed: variable 3 is
-        // new, variable 2's adjacency changed, 0 and 1 are clean.
-        let new_edges = vec![(0, 1), (1, 2), (0, 2), (2, 3)];
-        // A comparable 4-var seed (from a real route) so the repair
-        // path, not the incomparable-seed fallback, is exercised.
-        let (seed4, _) = find_embedding_with_stats(&new_edges, 4, &hw, &options).unwrap();
-        let dirty = [false, false, true, true];
-        let (warm, warm_stats) = cache
-            .get_or_embed_incremental(&new_edges, 4, &options, &hw, &seed4, &dirty)
-            .unwrap();
-        assert!(!warm_stats.cache_hit);
-        assert!(warm.validate(&new_edges, &hw));
-        assert_eq!(warm.chain(0), seed4.chain(0), "clean chain reused");
-        assert_eq!(warm.chain(1), seed4.chain(1), "clean chain reused");
-
-        // The repaired embedding was stored under the new key.
-        let (again, again_stats) = cache
-            .get_or_embed_incremental(&new_edges, 4, &options, &hw, &seed4, &dirty)
-            .unwrap();
-        assert!(again_stats.cache_hit);
-        assert_eq!(again, warm);
-        assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn snapshot_roundtrip_restores_every_entry() {
-        let dir = std::env::temp_dir().join("qac-cache-snapshot-roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.qacsnap");
-        let chimera = Chimera::new(2);
-        let hw = chimera.graph();
-        let cache = EmbeddingCache::new();
-        // Two entries: different seeds, different keys.
-        for seed in [0u64, 1] {
-            let options = EmbedOptions {
-                seed,
-                ..Default::default()
-            };
-            embed_triangle(&cache, &hw, &options);
-        }
-        cache.save(&chimera, &path).unwrap();
-
-        let loaded = EmbeddingCache::load(&chimera, &path).unwrap();
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.stats().lookups(), 0, "counters start fresh");
-        // Every restored entry answers as a hit with the original chains.
-        for seed in [0u64, 1] {
-            let options = EmbedOptions {
-                seed,
-                ..Default::default()
-            };
-            let (original, _) = embed_triangle(&cache, &hw, &options);
-            let (restored, stats) = embed_triangle(&loaded, &hw, &options);
-            assert!(stats.cache_hit, "seed {seed} must be pre-warmed");
-            assert_eq!(restored, original);
-            assert!(restored.validate(&triangle(), &hw));
-        }
-        // Saving the loaded cache reproduces the file byte-for-byte.
-        let copy = dir.join("cache2.qacsnap");
-        loaded.save(&chimera, &copy).unwrap();
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            std::fs::read(&copy).unwrap(),
-            "snapshots are canonical"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshot_rejects_corruption_version_and_topology_mismatch() {
-        let dir = std::env::temp_dir().join("qac-cache-snapshot-reject");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.qacsnap");
-        let chimera = Chimera::new(2);
-        let hw = chimera.graph();
-        let cache = EmbeddingCache::new();
-        embed_triangle(&cache, &hw, &EmbedOptions::default());
-        cache.save(&chimera, &path).unwrap();
-        let good = std::fs::read_to_string(&path).unwrap();
-
-        let reject = |contents: &str| {
-            let bad = dir.join("bad.qacsnap");
-            std::fs::write(&bad, contents).unwrap();
-            EmbeddingCache::load(&chimera, &bad)
-        };
-
-        // Any body edit breaks the checksum.
-        assert!(matches!(
-            reject(&good.replace("entries 1", "entries 2")),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        // Truncation loses the checksum line's coverage.
-        let truncated = &good[..good.len() / 2];
-        assert!(matches!(reject(truncated), Err(SnapshotError::Corrupt(_))));
-        // Garbage is not a snapshot at all.
-        assert!(matches!(
-            reject("not a snapshot\n"),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        // A future version is rejected even with a valid checksum.
-        let mut future = good.replace(" v1\n", " v2\n");
-        let body_end = future.trim_end_matches('\n').rfind('\n').unwrap() + 1;
-        future.truncate(body_end);
-        let mut h = Fnv::new();
-        h.write_bytes(future.as_bytes());
-        future.push_str(&format!("checksum {:016x}\n", h.finish()));
-        assert!(matches!(
-            reject(&future),
-            Err(SnapshotError::VersionMismatch { found }) if found == "v2"
-        ));
-        // A snapshot saved for one topology never loads on another.
-        assert!(matches!(
-            EmbeddingCache::load(&Chimera::new(3), &path),
-            Err(SnapshotError::TopologyMismatch { .. })
-        ));
-        assert!(matches!(
-            EmbeddingCache::load(&KingGraph::new(4), &path),
-            Err(SnapshotError::TopologyMismatch { .. })
-        ));
-        // A missing file surfaces the I/O error.
-        assert!(matches!(
-            EmbeddingCache::load(&chimera, &dir.join("absent.qacsnap")),
-            Err(SnapshotError::Io(_))
-        ));
-        // And the untouched file still loads.
-        assert!(EmbeddingCache::load(&chimera, &path).is_ok());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn clear_forces_recomputation() {
+        let _serial = serial_lookups();
         let hw = Chimera::new(2).graph();
         let options = EmbedOptions::default();
         let cache = EmbeddingCache::new();

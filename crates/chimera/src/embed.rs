@@ -308,138 +308,6 @@ pub fn find_embedding_with_stats(
     }
 }
 
-/// Re-embeds after an edit by seeding the router with a previous
-/// embedding: clean variables keep their chains, only `dirty` variables
-/// (plus any chain a reroute conflicts with) are ripped up and routed
-/// (DESIGN.md §14). The result is validated against `edges`; any
-/// failure — seeding preconditions, routing, validation — falls back to
-/// a full [`find_embedding_with_stats`] run, so the call never returns
-/// a worse guarantee than a cold embed.
-///
-/// Counters: `qac_incr_reembed_partial_total` on a seeded success,
-/// `qac_incr_reembed_full_total` when the fallback ran.
-///
-/// # Errors
-/// Same as [`find_embedding`] (from the fallback path).
-pub fn find_embedding_incremental(
-    edges: &[(usize, usize)],
-    num_vars: usize,
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-    prev: &Embedding,
-    dirty: &[bool],
-) -> Result<(Embedding, EmbedStats), EmbedError> {
-    let seedable =
-        prev.num_vars() == num_vars && dirty.len() == num_vars && hardware.num_active() > 0;
-    if seedable {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); num_vars];
-        for &(u, v) in edges {
-            assert!(u < num_vars && v < num_vars, "edge endpoint out of range");
-            if u != v && !adj[u].contains(&v) {
-                adj[u].push(v);
-                adj[v].push(u);
-            }
-        }
-        let mut stats = EmbedStats::default();
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        let mut scratch = RouterScratch::new(hardware);
-        stats.restarts = 1;
-        let found = attempt_seeded(
-            &adj,
-            hardware,
-            options,
-            &mut rng,
-            &mut stats.route_iterations,
-            &mut scratch,
-            prev,
-            dirty,
-        );
-        scratch.counters.accumulate_into(&mut stats);
-        if let Some(embedding) = found {
-            if embedding.validate(edges, hardware) {
-                flush_route_counters(&stats);
-                qac_telemetry::global().counter_add("qac_incr_reembed_partial_total", 1);
-                return Ok((embedding, stats));
-            }
-        }
-    }
-    qac_telemetry::global().counter_add("qac_incr_reembed_full_total", 1);
-    find_embedding_with_stats(edges, num_vars, hardware, options)
-}
-
-/// One seeded repair attempt: clean chains are pre-claimed, then rounds
-/// re-route only the variables that are empty or conflicted. Unlike
-/// [`attempt`], clean variables are never swept — the whole point is to
-/// leave the untouched region of the layout alone.
-#[allow(clippy::too_many_arguments)]
-fn attempt_seeded(
-    adj: &[Vec<usize>],
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-    rng: &mut StdRng,
-    route_iterations: &mut usize,
-    scratch: &mut RouterScratch,
-    prev: &Embedding,
-    dirty: &[bool],
-) -> Option<Embedding> {
-    let n = adj.len();
-    let mut chains: Vec<Vec<usize>> = vec![Vec::new(); n];
-    scratch.begin_attempt(n);
-    for v in 0..n {
-        // A clean chain whose qubits all still exist is kept verbatim; a
-        // chain over a now-inactive qubit is treated as dirty.
-        if !dirty[v] && prev.chain(v).iter().all(|&q| hardware.is_active(q)) {
-            chains[v] = prev.chain(v).to_vec();
-            for &q in &chains[v] {
-                scratch.inc_usage(q);
-            }
-        }
-    }
-    // Variables whose chains this attempt rewrites (the masked-trim set).
-    let mut touched: Vec<bool> = (0..n).map(|v| chains[v].is_empty()).collect();
-    for round in 0..options.rounds {
-        // Work list: empty chains plus anything a reroute collided with.
-        let mut todo: Vec<usize> = (0..n)
-            .filter(|&v| chains[v].is_empty() || chains[v].iter().any(|&q| scratch.usage[q] > 1))
-            .collect();
-        if todo.is_empty() {
-            break;
-        }
-        *route_iterations += 1;
-        scratch.set_round_base(options.penalty_base * (1.0 + round.min(12) as f64));
-        for &v in &todo {
-            for &q in &chains[v] {
-                scratch.dec_usage(q);
-            }
-            chains[v].clear();
-            touched[v] = true;
-        }
-        todo.shuffle(rng);
-        for &v in &todo {
-            let (chain, donations) = route_one(v, adj, &chains, scratch, rng)?;
-            for &q in &chain {
-                scratch.inc_usage(q);
-            }
-            chains[v] = chain;
-            for (u, donated) in donations {
-                for q in donated {
-                    if !chains[u].contains(&q) {
-                        scratch.inc_usage(q);
-                        chains[u].push(q);
-                        touched[u] = true;
-                    }
-                }
-            }
-        }
-    }
-    if chains.iter().any(Vec::is_empty) || scratch.usage.iter().any(|&u| u > 1) {
-        return None;
-    }
-    let mut embedding = Embedding { chains };
-    trim_chains_masked(&mut embedding, adj, hardware, Some(&touched));
-    Some(embedding)
-}
-
 /// The historical restart loop: one RNG threaded through the tries,
 /// stopping at the first success (so a seed's result is unchanged from
 /// the pre-scratch implementation — the golden-router test pins this).
@@ -1436,26 +1304,9 @@ fn route_one(
 /// candidate scan order and therefore the result are identical to the
 /// historical clone-per-scan implementation, without its O(L²) copies.
 fn trim_chains(embedding: &mut Embedding, adj: &[Vec<usize>], hardware: &HardwareGraph) {
-    trim_chains_masked(embedding, adj, hardware, None);
-}
-
-/// [`trim_chains`] restricted to the variables `mask` marks (all of them
-/// when `mask` is `None`). The incremental re-embed trims only the
-/// chains it rewrote — untouched chains were already trimmed by the run
-/// that produced them, and re-trimming them could move qubits the
-/// caller promised to keep.
-fn trim_chains_masked(
-    embedding: &mut Embedding,
-    adj: &[Vec<usize>],
-    hardware: &HardwareGraph,
-    mask: Option<&[bool]>,
-) {
     let n = embedding.chains.len();
     let mut rest: Vec<usize> = Vec::new();
     for (v, logical_neighbors) in adj.iter().enumerate().take(n) {
-        if mask.is_some_and(|m| !m[v]) {
-            continue;
-        }
         let len = embedding.chains[v].len();
         if len <= 1 {
             continue;
@@ -1869,86 +1720,6 @@ mod tests {
         };
         assert!(matches!(
             find_embedding(&edges, 9, &hw, &o),
-            Err(EmbedError::NoEmbeddingFound { .. })
-        ));
-    }
-
-    #[test]
-    fn seeded_reembed_keeps_clean_chains_and_validates() {
-        // An 8-variable ring plus one chord; the edit moves the chord.
-        // Only the chord's endpoints (old and new) are dirty — every
-        // other chain must come back verbatim from the seed.
-        let hw = Chimera::new(3).graph();
-        let ring: Vec<(usize, usize)> = (0..8).map(|i| (i, (i + 1) % 8)).collect();
-        let mut old_edges = ring.clone();
-        old_edges.push((0, 4));
-        let mut new_edges = ring;
-        new_edges.push((1, 5));
-        let prev = find_embedding(&old_edges, 8, &hw, &opts(21)).unwrap();
-
-        let mut dirty = vec![false; 8];
-        for v in [0, 1, 4, 5] {
-            dirty[v] = true;
-        }
-        let (warm, stats) =
-            find_embedding_incremental(&new_edges, 8, &hw, &opts(21), &prev, &dirty).unwrap();
-        assert!(warm.validate(&new_edges, &hw));
-        assert!(!stats.cache_hit);
-        for (v, &is_dirty) in dirty.iter().enumerate() {
-            if !is_dirty {
-                assert_eq!(
-                    warm.chain(v),
-                    prev.chain(v),
-                    "clean variable {v} was rerouted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_reembed_with_no_dirty_variables_is_a_noop() {
-        let hw = Chimera::new(2).graph();
-        let edges = [(0, 1), (1, 2), (0, 2), (2, 3)];
-        let prev = find_embedding(&edges, 4, &hw, &opts(13)).unwrap();
-        let (warm, stats) =
-            find_embedding_incremental(&edges, 4, &hw, &opts(13), &prev, &[false; 4]).unwrap();
-        assert_eq!(warm, prev, "nothing dirty: the seed is returned as-is");
-        assert_eq!(stats.route_iterations, 0, "no routing rounds ran");
-        assert_eq!(stats.heap_pops, 0, "Dijkstra never ran");
-    }
-
-    #[test]
-    fn incomparable_seed_falls_back_to_full_routing() {
-        // A previous embedding with the wrong variable count cannot seed
-        // the router; the call must degrade to a cold embed with the same
-        // options (deterministic, so the results are comparable).
-        let hw = Chimera::new(2).graph();
-        let edges = [(0, 1), (1, 2), (0, 2)];
-        let stale = find_embedding(&[(0, 1)], 2, &hw, &opts(17)).unwrap();
-        let (warm, _) =
-            find_embedding_incremental(&edges, 3, &hw, &opts(17), &stale, &[true; 2]).unwrap();
-        let (cold, _) = find_embedding_with_stats(&edges, 3, &hw, &opts(17)).unwrap();
-        assert_eq!(warm, cold, "fallback must match a cold embed exactly");
-    }
-
-    #[test]
-    fn seeded_reembed_falls_back_when_the_seed_cannot_be_repaired() {
-        // K9 on one unit cell is impossible; even with a (fabricated)
-        // seed the repair fails and the fallback's error surfaces.
-        let hw = Chimera::new(1).graph();
-        let edges: Vec<(usize, usize)> = (0..9)
-            .flat_map(|i| ((i + 1)..9).map(move |j| (i, j)))
-            .collect();
-        let bogus = Embedding {
-            chains: (0..9).map(|v| vec![v % 8]).collect(),
-        };
-        let fast = EmbedOptions {
-            tries: 1,
-            rounds: 4,
-            ..opts(19)
-        };
-        assert!(matches!(
-            find_embedding_incremental(&edges, 9, &hw, &fast, &bogus, &[false; 9]),
             Err(EmbedError::NoEmbeddingFound { .. })
         ));
     }

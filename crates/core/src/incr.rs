@@ -24,7 +24,6 @@
 //! stages bump `qac_incr_stage_miss_total`.
 
 use qac_netlist::{Fnv, Netlist};
-use qac_qmasm::Assembled;
 
 use crate::pipeline::{compile_netlist_from, compile_source, CertReuse};
 use crate::stage::Session;
@@ -251,36 +250,6 @@ fn report(
     )
 }
 
-/// Variables whose coupling support changed between two assemblies —
-/// the chains a partial re-embed must rip up. Returns `None` when the
-/// variable spaces are not comparable (different counts or symbol
-/// interning), in which case the embedder must start from scratch.
-pub fn dirty_variables(prev: &Assembled, new: &Assembled) -> Option<Vec<bool>> {
-    let n = new.ising.num_vars();
-    // Comparable iff the variable count and the symbol-interning
-    // sequence held still — then "variable i" means the same slot on
-    // both sides. (The symbol→variable *mapping* may still move for
-    // chain members a retarget re-homed; the adjacency diff below marks
-    // exactly those variables dirty.)
-    if prev.ising.num_vars() != n || !prev.symbols.names().eq(new.symbols.names()) {
-        return None;
-    }
-    let adjacency = |assembled: &Assembled| -> Vec<Vec<usize>> {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for term in assembled.ising.j_iter() {
-            adj[term.i].push(term.j);
-            adj[term.j].push(term.i);
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
-        adj
-    };
-    let old_adj = adjacency(prev);
-    let new_adj = adjacency(new);
-    Some((0..n).map(|i| old_adj[i] != new_adj[i]).collect())
-}
-
 /// Compares every artifact of two compiles, returning a description of
 /// the first mismatch (or `None` when they are identical). The
 /// incremental property tests use this to pinpoint which artifact diverged.
@@ -465,26 +434,6 @@ mod tests {
         let (warm, report) = compile_netlist_incremental(&prev, new, &options).unwrap();
         assert_eq!(artifact_mismatch(&cold, &warm), None);
         assert!(!report.full_rebuild);
-        // The retarget changes coupling support, so some chains dirty.
-        let dirty = dirty_variables(&prev.assembled, &warm.assembled).unwrap();
-        assert!(dirty.iter().any(|&d| d));
-    }
-
-    #[test]
-    fn gate_swap_keeps_coupling_support_clean() {
-        // AND→OR changes coefficient values but not the coupling graph:
-        // no chain needs to move on the hardware.
-        let options = CompileOptions {
-            opt_level: 0,
-            ..Default::default()
-        };
-        let old = demo_netlist();
-        let prev = compile_netlist(old.clone(), &options).unwrap();
-        let mut new = old;
-        new.set_cell_kind(1, qac_netlist::CellKind::Or);
-        let (warm, _) = compile_netlist_incremental(&prev, new, &options).unwrap();
-        let dirty = dirty_variables(&prev.assembled, &warm.assembled).unwrap();
-        assert!(dirty.iter().all(|&d| !d));
     }
 
     #[test]

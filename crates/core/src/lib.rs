@@ -62,8 +62,8 @@ pub use certify::{
 };
 pub use error::CompileError;
 pub use incr::{
-    artifact_mismatch, compile_incremental, compile_netlist_incremental, dirty_variables,
-    IncrState, IncrementalReport, StageDisposition,
+    artifact_mismatch, compile_incremental, compile_netlist_incremental, IncrState,
+    IncrementalReport, StageDisposition,
 };
 pub use pipeline::{compile, compile_netlist, CompileOptions, Compiled, PipelineStats};
 pub use qmasm_gen::netlist_to_qmasm;

@@ -112,15 +112,22 @@ impl fmt::Display for Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets a hostile file (say, a
+/// certificate of 200 000 `[`) overflow the stack. The documents this
+/// workspace writes — certificates, Chrome traces, JSONL events — nest
+/// fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (surrounding whitespace allowed).
 ///
 /// # Errors
-/// A human-readable message with a byte offset on malformed input or
-/// trailing garbage.
+/// A human-readable message with a byte offset on malformed input,
+/// trailing garbage, or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -143,8 +150,14 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -160,7 +173,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -185,7 +198,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -315,6 +328,18 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "1 2", "nul", "\"open", "[1]]"] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let nested = |depth: usize| open.repeat(depth) + "1" + &close.repeat(depth);
+            assert!(parse(&nested(MAX_DEPTH)).is_ok());
+            let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper"), "{err}");
+        }
+        // Far past the cap: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! The incremental compiler's contract on the paper's Figure 2 circuit:
-//! a warm recompile matches a cold one byte for byte, and an edit that
-//! changes nothing after the front end replays the whole back end.
+//! a warm recompile matches a cold one byte for byte, runs on the
+//! pre-edit embedding, and an edit that changes nothing after the front
+//! end replays the whole back end.
 
+use std::sync::Arc;
+
+use qac::chimera::EmbeddingCache;
 use qac::core::{
     artifact_mismatch, compile, compile_incremental, compile_netlist, compile_netlist_incremental,
-    verify_certificate, CompileOptions, StageDisposition,
+    verify_certificate, CompileOptions, RunOptions, SolverChoice, StageDisposition,
 };
 use qac::netlist::CellKind;
+use qac::solvers::{DWaveSimOptions, TopologySpec};
 
 const FIGURE2: &str = r#"
 module circuit (s, a, b, c);
@@ -42,6 +47,22 @@ fn gate_swap_recompiles_like_a_cold_compile() {
     let certificate = warm.certificate.as_ref().expect("certification is on");
     let issues = verify_certificate(certificate);
     assert!(issues.iter().all(|i| !i.kind.is_error()), "{issues:?}");
+
+    // Edit → run: the swap keeps every coupling and the cache key leaves
+    // out coefficients, so the warm program reuses the pre-edit embedding.
+    let cache = Arc::new(EmbeddingCache::new());
+    let run = RunOptions::new()
+        .num_reads(8)
+        .solver(SolverChoice::DWave(Box::new(DWaveSimOptions {
+            topology: TopologySpec::Chimera { m: 4 },
+            embedding_cache: Some(Arc::clone(&cache)),
+            ..Default::default()
+        })));
+    let lookups = || (cache.stats().hits, cache.stats().misses);
+    prev.run(&run).unwrap();
+    assert_eq!(lookups(), (0, 1), "the pre-edit run embeds");
+    warm.run(&run).unwrap();
+    assert_eq!(lookups(), (1, 1), "the edited run reuses the embedding");
 }
 
 #[test]
