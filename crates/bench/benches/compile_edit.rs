@@ -2,7 +2,8 @@
 //! path (incremental compile + an embedding-cache lookup warmed with the
 //! pre-edit embedding) for the same one-gate edit. The pair is the
 //! criterion-side view of the `experiments edit` table and the
-//! `qac_bench_incremental_speedup` gauge BENCH_pr9 pins.
+//! `qac_bench_incremental_speedup` gauge that ci.sh's incremental gate
+//! floors.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qac_bench::experiments::{canonical_gate_edit, embed_for_edit};

@@ -13,7 +13,6 @@
 //! --trace-json PATH     write every span, metric, and flight event as JSONL
 //! --chrome-trace PATH   write a Chrome trace-event file (Perfetto)
 //! --metrics PATH        write Prometheus text exposition
-//! --bench-baseline PATH write the machine-readable perf baseline JSON
 //! ```
 //!
 //! `report TRACE.jsonl [--html PATH]` is a subcommand, not an
@@ -30,7 +29,9 @@
 //! experiments, the §6 workloads are embedded on every supported
 //! hardware family (Chimera, Pegasus, Zephyr, king's graph) and
 //! tabulated by qubit count, chain lengths, and embed time. The same
-//! table is available directly as the `topology` experiment id.
+//! table is available directly as the `topology` experiment id; with
+//! `--metrics` it exports per-fabric routing work, physical qubits and
+//! max chain, which ci.sh's topology gate budgets.
 
 use qac_bench::experiments;
 
@@ -47,7 +48,6 @@ struct Cli {
     trace_json: Option<String>,
     chrome_trace: Option<String>,
     metrics: Option<String>,
-    bench_baseline: Option<String>,
     diagnostics_json: Option<String>,
     html: Option<String>,
     cert_dir: Option<String>,
@@ -60,7 +60,6 @@ fn parse_cli() -> Cli {
         trace_json: None,
         chrome_trace: None,
         metrics: None,
-        bench_baseline: None,
         diagnostics_json: None,
         html: None,
         cert_dir: None,
@@ -79,7 +78,6 @@ fn parse_cli() -> Cli {
             "--trace-json" => flag(&mut cli.trace_json),
             "--chrome-trace" => flag(&mut cli.chrome_trace),
             "--metrics" => flag(&mut cli.metrics),
-            "--bench-baseline" => flag(&mut cli.bench_baseline),
             "--diagnostics-json" => flag(&mut cli.diagnostics_json),
             "--html" => flag(&mut cli.html),
             "--cert-dir" => flag(&mut cli.cert_dir),
@@ -191,15 +189,6 @@ fn main() {
         cli.trace_json.is_some() || cli.chrome_trace.is_some() || cli.metrics.is_some();
     if telemetry_on {
         qac_telemetry::global().enable();
-    }
-
-    if let Some(path) = &cli.bench_baseline {
-        // The baseline runs on its own recorder so exported experiment
-        // telemetry is not polluted by the baseline's timing runs.
-        write_or_die(path, &qac_bench::bench_baseline_json(), "perf baseline");
-        if cli.names.is_empty() && !telemetry_on {
-            return;
-        }
     }
 
     // `tables` is a group alias for the paper's four table experiments.

@@ -1,14 +1,13 @@
 //! CI smoke checker for telemetry export files (no jq/python needed).
 //!
 //! ```text
-//! telemetry_check <trace.jsonl> <metrics.prom> [--counter-max name=value]...
+//! telemetry_check <trace.jsonl> <metrics.prom> [--counter-max name=value]... [--gauge-min name=value]...
 //! telemetry_check --diagnostics <diagnostics.json>
-//! telemetry_check --baseline <OLD.json> <NEW.json> [--budget name=ratio]...
 //! telemetry_check --help
 //! ```
 //!
 //! Exit codes: **0** all checks passed, **1** a check failed (schema
-//! violation, budget exceeded, baseline regression), **2** usage error
+//! violation, budget exceeded, floor missed), **2** usage error
 //! (bad flags, unreadable spec).
 //!
 //! Asserts that every JSONL line deserializes into the event schema
@@ -29,41 +28,30 @@
 //! file to contain a sample named `name` (exact match, including any
 //! label set — the spec splits at the *last* `=`, so labeled names like
 //! `qac_embed_heap_pops_total{topology="king"}=98000000` parse) whose
-//! value is at most `value`. Routing-work counters are
-//! deterministic per seed, so CI uses this as a machine-independent
-//! perf budget: the budget only trips when the algorithm does more
-//! work, never because the runner was slow.
+//! value is at most `value`; the sample may be a counter or a gauge
+//! (CI caps `qac_embed_max_chain{topology=…}` this way). Routing-work
+//! counters are deterministic per seed, so CI uses this as a
+//! machine-independent perf budget: the budget only trips when the
+//! algorithm does more work, never because the runner was slow.
 //!
-//! `--baseline OLD.json NEW.json` runs the perf-regression gate over
-//! two committed `BENCH_pr*.json` baselines (see `qac_bench::regression`
-//! for the policy: deterministic work gauges are gated at a NEW/OLD
-//! ratio of 1.30 by default, wall-clock `_us` gauges are report-only,
-//! and a gauge that vanishes from NEW is always a violation). Each
-//! `--budget name=ratio` overrides the budget for one gauge — `name`
-//! may be the exact labeled name or the base name (applies to every
-//! label set), and an override also gates an otherwise report-only
-//! gauge.
-//!
-//! Each `--gauge-min name=value` requires a gauge named `name` (exact
-//! match, labels embedded) with value at least `value` — in baseline
-//! mode the gauge is looked up in NEW.json, in file mode in the
-//! Prometheus export. The ratio gate above only catches *regressions
-//! relative to OLD*; `--gauge-min` pins an *absolute floor*, which is
-//! how CI asserts the packed-sampler and incremental-recompile speedup
-//! gauges (dimensionless same-machine ratios, so a floor is
-//! machine-independent even though raw `_per_sec`/`_us` gauges are
-//! not).
+//! Each `--gauge-min name=value` requires a Prometheus sample named
+//! `name` (exact match, labels embedded) with value at least `value`.
+//! A budget caps work; a floor pins work that must keep happening (an
+//! obligation count that collapses toward 0) or a dimensionless
+//! same-machine ratio such as the incremental-recompile speedup, which
+//! is machine-independent even though raw `_per_sec`/`_us` samples are
+//! not. CI passes exports written by the same run, so every gate
+//! measures the code under test.
 
 const USAGE: &str = "\
 usage:
   telemetry_check <trace.jsonl> <metrics.prom> [--counter-max name=value]... [--gauge-min name=value]...
   telemetry_check --diagnostics <diagnostics.json>
-  telemetry_check --baseline <OLD.json> <NEW.json> [--budget name=ratio]... [--gauge-min name=value]...
   telemetry_check --help
 
 exit codes:
   0  all checks passed
-  1  a check failed (schema violation, budget exceeded, baseline regression)
+  1  a check failed (schema violation, budget exceeded, floor missed)
   2  usage error (unknown flag, malformed spec, missing operand)";
 
 /// A failed check: exit 1.
@@ -165,55 +153,11 @@ fn check_diagnostics(path: &str) {
     );
 }
 
-/// Runs the baseline regression gate; dies (exit 1) on violations.
-fn check_baseline(
-    old_path: &str,
-    new_path: &str,
-    overrides: &[(String, f64)],
-    floors: &[(String, f64)],
-) {
-    use qac_bench::regression;
-
-    let parse = |path: &str| {
-        regression::parse_baseline(&read(path)).unwrap_or_else(|err| die(format!("{path}: {err}")))
-    };
-    let old = parse(old_path);
-    let new = parse(new_path);
-    let comparison = regression::compare(&old, &new, overrides);
-    print!("{}", comparison.render_text());
-    if !comparison.passed() {
-        die(format!(
-            "{} gauge(s) regressed beyond budget comparing {new_path} against {old_path}",
-            comparison.violations.len()
-        ));
-    }
-    for (name, min) in floors {
-        let value = new
-            .metrics
-            .iter()
-            .find_map(|(n, v)| (n == name).then_some(*v))
-            .unwrap_or_else(|| die(format!("{new_path}: no gauge named {name}")));
-        if value < *min {
-            die(format!(
-                "{new_path}: {name} = {value} is below the required floor of {min}"
-            ));
-        }
-        println!("telemetry_check: {name} = {value} meets floor {min}");
-    }
-    println!(
-        "telemetry_check: baseline {new_path} holds against {old_path} \
-         ({} gauges compared) — OK",
-        comparison.diffs.len()
-    );
-}
-
 fn main() {
     let mut paths = Vec::new();
     let mut budgets: Vec<(String, f64)> = Vec::new();
-    let mut ratio_overrides: Vec<(String, f64)> = Vec::new();
     let mut gauge_floors: Vec<(String, f64)> = Vec::new();
     let mut diagnostics: Option<String> = None;
-    let mut baseline = false;
     // Split at the LAST '=': labeled sample names such as
     // `qac_embed_heap_pops_total{topology="king"}` contain '=' inside
     // the label set.
@@ -238,18 +182,9 @@ fn main() {
                 return;
             }
             "--diagnostics" => diagnostics = Some(operand("--diagnostics")),
-            "--baseline" => baseline = true,
             "--counter-max" => {
                 let spec = operand("--counter-max");
                 budgets.push(parse_spec("--counter-max", spec));
-            }
-            "--budget" => {
-                let spec = operand("--budget");
-                let (name, ratio) = parse_spec("--budget", spec.clone());
-                if ratio <= 0.0 {
-                    usage_die(format!("--budget {spec:?}: ratio must be positive"));
-                }
-                ratio_overrides.push((name, ratio));
             }
             "--gauge-min" => {
                 let spec = operand("--gauge-min");
@@ -258,16 +193,6 @@ fn main() {
             other if other.starts_with("--") => usage_die(format!("unknown flag `{other}`")),
             _ => paths.push(arg),
         }
-    }
-    if baseline {
-        let [old_path, new_path] = paths.as_slice() else {
-            usage_die("--baseline needs exactly two operands: OLD.json NEW.json".to_string());
-        };
-        check_baseline(old_path, new_path, &ratio_overrides, &gauge_floors);
-        return;
-    }
-    if !ratio_overrides.is_empty() {
-        usage_die("--budget only applies to --baseline mode".to_string());
     }
     if let Some(path) = &diagnostics {
         check_diagnostics(path);

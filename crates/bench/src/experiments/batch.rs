@@ -20,7 +20,7 @@ use crate::{compile_workload, AUSTRALIA, CIRCSAT, COUNTER, FIGURE2, MULT};
 /// The §6 batch: every experiment program as an engine job. All jobs
 /// share one embedding cache (the hardware-model jobs embed the same
 /// program, so the second one is a cache hit).
-pub fn sec6_batch_jobs() -> Vec<JobSpec> {
+fn sec6_batch_jobs() -> Vec<JobSpec> {
     let figure2 = Arc::new(compile_workload(FIGURE2, "circuit"));
     let circsat = Arc::new(compile_workload(CIRCSAT, "circsat"));
     let mult = Arc::new(compile_workload(MULT, "mult"));
@@ -173,7 +173,7 @@ fn quality_table(results: &[JobResult]) {
 
 /// Runs `sec6_batch_jobs` on `workers` threads and reports the batch
 /// wall time alongside the results.
-pub fn run_sec6_batch(workers: usize) -> (Duration, Vec<JobResult>) {
+fn run_sec6_batch(workers: usize) -> (Duration, Vec<JobResult>) {
     let engine = BatchEngine::new(EngineOptions {
         workers,
         ..Default::default()

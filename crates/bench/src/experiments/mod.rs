@@ -17,7 +17,7 @@ pub use analyze::{
     analysis_diagnostics_json, analysis_report_text, analyze_workloads, run_analyze, BROKEN_QMASM,
 };
 pub use apps::{run_circsat, run_counter, run_factor, run_map_color};
-pub use batch::{run_batch, run_sec6_batch, sec6_batch_jobs};
+pub use batch::run_batch;
 pub use certify::{certified_corpus, certify_workload, run_certify, verify_certificate_file};
 pub use edit::{canonical_gate_edit, embed_for_edit, run_edit};
 pub use figure2::run_figure2_3;

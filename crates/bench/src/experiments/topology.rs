@@ -17,7 +17,7 @@ use qac_chimera::{
 };
 use qac_pbf::scale::scale_to_range;
 
-use crate::{compile_workload, handcoded_australia_unary, AUSTRALIA, FIGURE2};
+use crate::{compile_workload, handcoded_australia_unary, AUSTRALIA, CIRCSAT, FIGURE2};
 
 /// One row of the table: a workload embedded on one topology.
 struct Row {
@@ -58,9 +58,18 @@ fn embed_on(
         ("qac_embed_heap_pops_total", stats.heap_pops),
         ("qac_embed_edge_relaxations_total", stats.edge_relaxations),
         ("qac_embed_weight_updates_total", stats.weight_updates),
+        (
+            "qac_embed_physical_qubits_total",
+            embedding.num_physical_qubits() as u64,
+        ),
     ] {
         telemetry.counter_add(&format!("{name}{{topology=\"{family}\"}}"), value);
     }
+    // The longest chain any workload needs on this fabric: the cost
+    // hardware precision pays for, so CI caps it per topology.
+    let max_chain = format!("qac_embed_max_chain{{topology=\"{family}\"}}");
+    let longest = telemetry.metrics().gauge(&max_chain).unwrap_or(0.0);
+    telemetry.gauge_set(&max_chain, longest.max(embedding.max_chain_length() as f64));
 
     let chains = embedding.chains();
     let chained: Vec<&Vec<usize>> = chains.iter().filter(|c| !c.is_empty()).collect();
@@ -100,10 +109,14 @@ pub fn run_topology() {
     // (label, edges, num_vars, routable on the king lattice).
     type WorkloadRow = (&'static str, Vec<(usize, usize)>, usize, bool);
     let unary = handcoded_australia_unary();
-    let workloads: [WorkloadRow; 3] = [
+    let workloads: [WorkloadRow; 4] = [
         {
             let (edges, n) = workload_edges(FIGURE2, "circuit");
             ("figure2", edges, n, true)
+        },
+        {
+            let (edges, n) = workload_edges(CIRCSAT, "circsat");
+            ("circsat", edges, n, true)
         },
         {
             // The compiled map-coloring netlist has degree-15 logical

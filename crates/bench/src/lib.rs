@@ -8,14 +8,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod experiments;
 pub mod golden;
-pub mod regression;
 pub mod report;
 pub mod workloads;
 
-pub use baseline::bench_baseline_json;
 pub use golden::topology_golden_fixture;
 pub use workloads::*;
 

@@ -43,6 +43,14 @@ fn structure(msg: impl Into<String>) -> EdifError {
     EdifError::Structure(msg.into())
 }
 
+/// Item `index` of a `(what …)` form, or a structure error when the
+/// form is too short.
+fn item<'a>(items: &'a [Sexp], index: usize, what: &str) -> Result<&'a Sexp, EdifError> {
+    items
+        .get(index)
+        .ok_or_else(|| structure(format!("{what} is missing item {index}")))
+}
+
 /// Resolves `(rename safe "orig")` to `(safe, orig)`; a bare atom maps to
 /// itself.
 fn resolve_name(s: &Sexp) -> Result<(String, String), EdifError> {
@@ -83,7 +91,7 @@ fn parse_port_ref(s: &Sexp) -> Result<PortRef, EdifError> {
     if items.first().and_then(Sexp::as_atom) != Some("portRef") {
         return Err(structure("expected portRef"));
     }
-    let (port, member) = match &items[1] {
+    let (port, member) = match item(items, 1, "portRef")? {
         Sexp::Atom(a) => (a.clone(), None),
         Sexp::List(inner) if inner.len() == 3 && inner[0].as_atom() == Some("member") => {
             let name = inner[1]
@@ -92,8 +100,9 @@ fn parse_port_ref(s: &Sexp) -> Result<PortRef, EdifError> {
                 .to_string();
             let idx = inner[2]
                 .as_int()
-                .ok_or_else(|| structure("member without index"))?;
-            (name, Some(idx as usize))
+                .and_then(|i| usize::try_from(i).ok())
+                .ok_or_else(|| structure("member without a nonnegative index"))?;
+            (name, Some(idx))
         }
         other => return Err(structure(format!("bad portRef target {other}"))),
     };
@@ -134,8 +143,7 @@ pub fn from_edif(text: &str) -> Result<Netlist, EdifError> {
     let cell = library
         .child("cell")
         .ok_or_else(|| structure("library has no cell"))?;
-    let cell_items = cell.as_list().unwrap();
-    let (_, design_name) = resolve_name(&cell_items[1])?;
+    let (_, design_name) = resolve_name(item(cell.as_list().unwrap_or(&[]), 1, "cell")?)?;
     let view = cell
         .child("view")
         .ok_or_else(|| structure("cell has no view"))?;
@@ -158,15 +166,18 @@ pub fn from_edif(text: &str) -> Result<Netlist, EdifError> {
     }
     let mut ports: Vec<PortInfo> = Vec::new();
     let mut port_index: HashMap<String, usize> = HashMap::new();
+    // Every port bit costs at least one byte of text, so a total width
+    // beyond the input's length is hostile, not a big design.
+    let mut total_width = 0usize;
     for p in interface.children("port") {
-        let items = p.as_list().unwrap();
-        let (safe, original, width) = match &items[1] {
+        let (safe, original, width) = match item(p.as_list().unwrap_or(&[]), 1, "port")? {
             Sexp::List(inner) if inner.first().and_then(Sexp::as_atom) == Some("array") => {
-                let (safe, orig) = resolve_name(&inner[1])?;
-                let width = inner[2]
+                let (safe, orig) = resolve_name(item(inner, 1, "array")?)?;
+                let width = item(inner, 2, "array")?
                     .as_int()
-                    .ok_or_else(|| structure("array port without width"))?
-                    as usize;
+                    .and_then(|w| usize::try_from(w).ok())
+                    .filter(|&w| w >= 1)
+                    .ok_or_else(|| structure(format!("array port {safe} without a width >= 1")))?;
                 (safe, orig, width)
             }
             name => {
@@ -180,6 +191,13 @@ pub fn from_edif(text: &str) -> Result<Netlist, EdifError> {
             .and_then(|l| l.get(1))
             .and_then(Sexp::as_atom)
             .ok_or_else(|| structure(format!("port {safe} has no direction")))?;
+        total_width = total_width.saturating_add(width);
+        if total_width > text.len() {
+            return Err(structure(format!(
+                "port widths total {total_width} bits, more than the {} bytes of input",
+                text.len()
+            )));
+        }
         let bits: Vec<NetId> = (0..width).map(|_| netlist.add_net()).collect();
         port_index.insert(safe.clone(), ports.len());
         ports.push(PortInfo {
@@ -195,8 +213,7 @@ pub fn from_edif(text: &str) -> Result<Netlist, EdifError> {
     let mut instances: HashMap<String, String> = HashMap::new();
     let mut instance_order: Vec<String> = Vec::new();
     for inst in contents.children("instance") {
-        let items = inst.as_list().unwrap();
-        let (safe, _orig) = resolve_name(&items[1])?;
+        let (safe, _orig) = resolve_name(item(inst.as_list().unwrap_or(&[]), 1, "instance")?)?;
         let cell_name = inst
             .child("viewRef")
             .and_then(|v| v.child("cellRef"))
@@ -245,10 +262,8 @@ pub fn from_edif(text: &str) -> Result<Netlist, EdifError> {
         }
         let id = net_id.unwrap_or_else(|| netlist.add_net());
         // Record the net's name.
-        if let Some(items) = net.as_list() {
-            if let Ok((_, orig)) = resolve_name(&items[1]) {
-                netlist.set_net_name(id, orig);
-            }
+        if let Some(Ok((_, orig))) = net.as_list().and_then(|l| l.get(1)).map(resolve_name) {
+            netlist.set_net_name(id, orig);
         }
         for r in &refs {
             if let Some(inst) = &r.instance {
