@@ -10,6 +10,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Golden tests rewrite their fixture and pass when QAC_UPDATE_GOLDEN is
+# set (even to an empty value), so a run under it would bless any diff.
+if [ -n "${QAC_UPDATE_GOLDEN+set}" ]; then
+    echo "ERROR: QAC_UPDATE_GOLDEN is set; unset it so golden tests check their fixtures" >&2
+    exit 1
+fi
+
 analyze_gate() {
     echo "==> analyze gate (static analyzer over the paper workloads)"
     # QAC_ANALYZE_STRICT=1 turns any Error-severity diagnostic into a

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use qac_chimera::{embed_ising, find_embedding_or_clique, Chimera, EmbedOptions, EmbeddingCache};
+use qac_chimera::{find_embedding_or_clique, Chimera, EmbedOptions, EmbeddingCache};
 use qac_core::{compile, CompileOptions};
 use qac_pbf::roof::apply_roof_duality;
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
@@ -221,10 +221,7 @@ pub fn run_ablation_opt() {
                         ..Default::default()
                     },
                 )
-                .map(|e| {
-                    let _ = embed_ising(&scaled.model, &e, &hardware, 2.0);
-                    e.num_physical_qubits().to_string()
-                })
+                .map(|e| e.num_physical_qubits().to_string())
                 .unwrap_or_else(|_| "n/a".to_string())
             };
             println!(

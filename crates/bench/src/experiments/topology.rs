@@ -52,19 +52,11 @@ fn embed_on(
     // simulator emits, so one metrics export covers both paths.
     let telemetry = qac_telemetry::global();
     let family = topology.family();
-    for (name, value) in [
-        ("qac_route_iterations_total", stats.route_iterations as u64),
-        ("qac_embed_restarts_total", stats.restarts as u64),
-        ("qac_embed_heap_pops_total", stats.heap_pops),
-        ("qac_embed_edge_relaxations_total", stats.edge_relaxations),
-        ("qac_embed_weight_updates_total", stats.weight_updates),
-        (
-            "qac_embed_physical_qubits_total",
-            embedding.num_physical_qubits() as u64,
-        ),
-    ] {
-        telemetry.counter_add(&format!("{name}{{topology=\"{family}\"}}"), value);
-    }
+    stats.export_topology_counters(family);
+    telemetry.counter_add(
+        &format!("qac_embed_physical_qubits_total{{topology=\"{family}\"}}"),
+        embedding.num_physical_qubits() as u64,
+    );
     // The longest chain any workload needs on this fabric: the cost
     // hardware precision pays for, so CI caps it per topology.
     let max_chain = format!("qac_embed_max_chain{{topology=\"{family}\"}}");

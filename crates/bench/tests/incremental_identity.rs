@@ -11,11 +11,12 @@
 //! On a failure a greedy shrinker minimizes the edit sequence before
 //! panicking, so the reproduction is as small as the bug allows.
 //!
-//! `incremental_dispositions_match_golden` additionally pins *which*
-//! stages skip, re-run, and reuse certificate obligations for a
-//! canonical one-gate edit (and a whitespace-only source edit) — an
-//! accidental loss of incrementality keeps artifacts identical, so only
-//! a disposition fixture can catch it. Update deliberately with
+//! `incremental_dispositions_match_golden` additionally pins how each
+//! stage ran for a canonical one-gate edit, a whitespace-only source
+//! edit and a symmetric input swap: every stage re-runs in full, and
+//! `certify` splices the obligations whose cone fingerprints held still.
+//! A lost splice keeps artifacts identical, so only a disposition
+//! fixture can catch it. Update deliberately with
 //! `QAC_UPDATE_GOLDEN=1 cargo test -p qac-bench --test
 //! incremental_identity`.
 
@@ -306,8 +307,8 @@ fn disposition_fixture() -> String {
         None
     );
 
-    // A whitespace/comment-only source edit: the front end re-runs to
-    // discover nothing changed, the entire back end replays.
+    // A whitespace/comment-only source edit: every stage re-runs, and
+    // `certify` copies every obligation since no cone moved.
     let prev = compile(FIGURE2, "circuit", &options).unwrap();
     let touched = format!("// cosmetic\n{FIGURE2}\n");
     let (_, report) = compile_incremental(&prev, &touched, "circuit", &options).unwrap();

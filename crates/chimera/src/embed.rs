@@ -152,6 +152,23 @@ impl EmbedStats {
         self.edge_relaxations += other.edge_relaxations;
         self.weight_updates += other.weight_updates;
     }
+
+    /// Adds the routing-work counters to the global telemetry recorder
+    /// under a `{topology="family"}` label, so CI can budget each fabric
+    /// on its own. The router adds the unlabeled heap-pop,
+    /// edge-relaxation and weight-update totals itself.
+    pub fn export_topology_counters(&self, family: &str) {
+        let telemetry = qac_telemetry::global();
+        for (name, value) in [
+            ("qac_route_iterations_total", self.route_iterations as u64),
+            ("qac_embed_restarts_total", self.restarts as u64),
+            ("qac_embed_heap_pops_total", self.heap_pops),
+            ("qac_embed_edge_relaxations_total", self.edge_relaxations),
+            ("qac_embed_weight_updates_total", self.weight_updates),
+        ] {
+            telemetry.counter_add(&format!("{name}{{topology=\"{family}\"}}"), value);
+        }
+    }
 }
 
 /// Why embedding failed.

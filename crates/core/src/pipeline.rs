@@ -17,7 +17,7 @@ use qac_netlist::unroll::{unroll, InitialState};
 use qac_netlist::{opt, Netlist, NetlistStats};
 use qac_qmasm::{assemble, parse, stdcell_qmasm, AssembleOptions, Assembled, MapIncludes, Program};
 
-use crate::incr::IncrState;
+use crate::incr::{EntryKey, IncrState};
 use crate::qmasm_gen::netlist_to_qmasm;
 use crate::stage::{Session, Stage};
 use crate::trace::Trace;
@@ -106,10 +106,6 @@ pub struct Compiled {
     /// The static analyzer's report over the assembled model (empty when
     /// the analyzer is disabled).
     pub analysis: AnalysisReport,
-    /// The parsed QMASM program the model was assembled from (kept so an
-    /// incremental recompile that replays the back end can re-certify
-    /// against it).
-    pub program: Program,
     /// The translation-validation certificate the `certify` stage built
     /// and checked (`None` when [`CompileOptions::certify`] is off). The
     /// back-end obligation is attached at embed time by callers that
@@ -121,7 +117,7 @@ pub struct Compiled {
     pub trace: Trace,
     /// The options used (downstream runs reuse the embed settings).
     pub options: CompileOptions,
-    /// Content keys for [`crate::compile_incremental`].
+    /// Entry and option keys for [`crate::compile_incremental`].
     pub incr: IncrState,
 }
 
@@ -392,61 +388,60 @@ pub fn compile_netlist(
 /// `certify` stage ran.
 pub(crate) type CertReuse = Option<(usize, usize)>;
 
-/// [`compile`], optionally against a previous compile (see
+/// [`compile`], optionally re-using a previous certificate (see
 /// [`compile_netlist_in_session`]).
 pub(crate) fn compile_source(
     source: &str,
     top: &str,
     options: &CompileOptions,
-    prev: Option<&Compiled>,
+    prev_certificate: Option<&CompileCertificate>,
 ) -> Result<(Compiled, CertReuse), CompileError> {
     let mut session = Session::new();
     let netlist = session.run(&VerilogStage { source, top }, ())?;
     let verilog_lines = source.lines().filter(|l| !l.trim().is_empty()).count();
-    let source_key = Some(crate::incr::source_fingerprint(source, top));
+    let entry_key = EntryKey::Source(crate::incr::source_fingerprint(source, top));
     compile_netlist_in_session(
         session,
         netlist,
         verilog_lines,
         options,
-        source_key,
-        None,
-        prev,
+        entry_key,
+        prev_certificate,
     )
 }
 
-/// [`compile_netlist`], optionally against a previous compile (see
+/// [`compile_netlist`], optionally re-using a previous certificate (see
 /// [`compile_netlist_in_session`]).
 pub(crate) fn compile_netlist_from(
     netlist: Netlist,
     options: &CompileOptions,
-    prev: Option<&Compiled>,
+    prev_certificate: Option<&CompileCertificate>,
 ) -> Result<(Compiled, CertReuse), CompileError> {
-    let netlist_key = Some(netlist.structural_hash());
-    compile_netlist_in_session(Session::new(), netlist, 0, options, None, netlist_key, prev)
+    let entry_key = EntryKey::Netlist(netlist.structural_hash());
+    compile_netlist_in_session(
+        Session::new(),
+        netlist,
+        0,
+        options,
+        entry_key,
+        prev_certificate,
+    )
 }
 
 /// The one compile driver behind every entry point, cold or incremental.
 ///
-/// `prev` (the previous compile under the same options) is used for two
-/// things only:
-/// * **back-end replay** — when the optimized netlist's key matches, the
-///   edit vanished in the front end (a comment, whitespace, a refactor
-///   the optimizer erases) and every stage from `edif-write` through
-///   `analyze` replays its cached artifact;
-/// * **certificate reuse** — the `certify` stage copies obligations
-///   whose reuse keys (cone fingerprints, macro bodies) held still.
-///
-/// Every other stage runs exactly as in a cold compile, so the artifacts
-/// are byte-identical to one by construction.
+/// Every stage runs exactly as in a cold compile. The one exception is
+/// `certify`: handed `prev_certificate` (the previous compile's, under the
+/// same options), it copies the obligations whose reuse keys (cone
+/// fingerprints, macro bodies) held still. The artifacts are therefore
+/// byte-identical to a cold compile's by construction.
 fn compile_netlist_in_session(
     mut session: Session,
     netlist: Netlist,
     verilog_lines: usize,
     options: &CompileOptions,
-    source_key: Option<u64>,
-    netlist_key: Option<u64>,
-    prev: Option<&Compiled>,
+    entry_key: EntryKey,
+    prev_certificate: Option<&CompileCertificate>,
 ) -> Result<(Compiled, CertReuse), CompileError> {
     // Unroll sequential logic if requested (§4.3.3), then optimize (the
     // ABC role).
@@ -458,10 +453,7 @@ fn compile_netlist_in_session(
         netlist,
     )?;
     // The certifier proves the optimizer (and the EDIF round trip)
-    // preserved this netlist, so it keeps the pre-optimization form; its
-    // content key decides whether a replayed back end may replay the
-    // proof too.
-    let unrolled_key = netlist.structural_hash();
+    // preserved this netlist, so it keeps the pre-optimization form.
     let source_netlist = options.certify.then(|| netlist.clone());
     let netlist = session.run(
         &OptimizeStage {
@@ -469,82 +461,102 @@ fn compile_netlist_in_session(
         },
         netlist,
     )?;
-    let optimized_key = netlist.structural_hash();
 
+    // Round-trip through EDIF text, as the original pipeline does.
+    let edif = session.run(&EdifWriteStage, netlist)?;
+    let netlist = session.run(&EdifReadStage { edif: &edif }, ())?;
+
+    // EDIF → QMASM.
     let library = CellLibrary::table5();
-    let replay = prev.filter(|prev| prev.incr.optimized_key == optimized_key);
-    let back = match replay {
-        Some(prev) => {
-            // Every stage the previous compile recorded after `optimize`,
-            // bar `certify` (decided below), replays.
-            let stages = prev.trace.stages().iter();
-            for stage in stages.skip_while(|s| s.name != "optimize").skip(1) {
-                if stage.name != "certify" {
-                    session.skip_named(&stage.name, stage.output_size);
-                }
-            }
-            BackEnd::replay(prev)
+    let (qmasm, stdcell) = session.run(
+        &QmasmGenStage {
+            netlist: &netlist,
+            library: &library,
+        },
+        (),
+    )?;
+    let mut includes = MapIncludes::new();
+    includes.insert("stdcell.qmasm", stdcell.clone());
+
+    // QMASM → logical Ising.
+    let program = session.run(
+        &QmasmParseStage {
+            qmasm: &qmasm,
+            includes: &includes,
+        },
+        (),
+    )?;
+    let assemble_options = AssembleOptions {
+        merge_chains: options.merge_chains,
+        chain_strength: options.chain_strength,
+        pin_weight: None,
+    };
+    let assembled = session.run(
+        &AssembleStage {
+            program: &program,
+            options: assemble_options,
+        },
+        (),
+    )?;
+
+    let expected = expected_ground_energy_of(&netlist, &library, &assembled)?;
+
+    // Static analysis over the assembled model. The expected ground
+    // energy just derived feeds the roof-duality and exact-audit
+    // passes; the unmerged chain strength feeds the sufficiency bound
+    // when the caller did not pick one explicitly.
+    let analysis = if options.analysis.enabled {
+        let analysis_options = analysis_options_for(options, expected);
+        let report = session.run(
+            &AnalyzeStage {
+                assembled: &assembled,
+                program: &program,
+                options: &analysis_options,
+            },
+            (),
+        )?;
+        if report.diagnostics.has_errors() {
+            return Err(CompileError::Analysis(report.diagnostics.clone()));
         }
-        None => BackEnd::run(&mut session, netlist, options, &library)?,
+        report
+    } else {
+        AnalysisReport::empty()
     };
 
     // Translation validation: prove the front end preserved every
     // output's Boolean function and the macro library every gate's
     // ground space; a failed proof rejects the compile like an analyzer
-    // error. The certificate's source side is the *pre*-optimization
-    // netlist, so an optimizer-erased edit can still move front-end
-    // obligations: the proof replays only when the unrolled netlist held
-    // still as well.
-    let mut cert_reuse = None;
-    let certificate = match (&source_netlist, replay) {
-        (Some(_), Some(prev))
-            if prev.incr.unrolled_key == unrolled_key && prev.certificate.is_some() =>
-        {
-            let size = prev.trace.get("certify").map_or(0, |s| s.output_size);
-            session.skip_named("certify", size);
-            prev.certificate.clone()
-        }
-        (Some(source), _) => {
+    // error.
+    let (certificate, cert_reuse) = match &source_netlist {
+        Some(source) => {
             let out = session.run(
                 &crate::certify::CertifyStage {
                     source,
-                    optimized: &back.netlist,
-                    program: &back.program,
+                    optimized: &netlist,
+                    program: &program,
                     library: &library,
-                    prev: prev.and_then(|prev| prev.certificate.as_ref()),
+                    prev: prev_certificate,
                 },
                 (),
             )?;
-            cert_reuse = Some((out.reused, out.proved));
-            Some(out.certificate)
+            (Some(out.certificate), Some((out.reused, out.proved)))
         }
-        (None, _) => None,
+        None => (None, None),
     };
 
-    let stats = build_stats(
-        verilog_lines,
-        &back.edif,
-        &back.qmasm,
-        &back.stdcell,
-        &back.assembled,
-        &back.netlist,
-    );
+    let stats = build_stats(verilog_lines, &edif, &qmasm, &stdcell, &assembled, &netlist);
     let incr = IncrState {
-        source_key,
-        netlist_key,
+        entry_key,
         options_key: crate::incr::options_key(options),
-        unrolled_key,
-        optimized_key,
     };
     let compiled = Compiled {
-        netlist: back.netlist,
-        edif: back.edif,
-        qmasm: back.qmasm,
-        stdcell: back.stdcell,
-        assembled: back.assembled,
-        expected_ground_energy: back.expected,
-        analysis: back.analysis,
-        program: back.program,
+        netlist,
+        edif,
+        qmasm,
+        stdcell,
+        assembled,
+        expected_ground_energy: expected,
+        analysis,
         certificate,
         stats,
         trace: session.finish(),
@@ -552,113 +564,6 @@ fn compile_netlist_in_session(
         incr,
     };
     Ok((compiled, cert_reuse))
-}
-
-/// The artifacts of the back end, `edif-write` through `analyze`.
-struct BackEnd {
-    netlist: Netlist,
-    edif: String,
-    qmasm: String,
-    stdcell: String,
-    program: Program,
-    assembled: Assembled,
-    expected: f64,
-    analysis: AnalysisReport,
-}
-
-impl BackEnd {
-    /// Runs the back end over the optimized netlist.
-    fn run(
-        session: &mut Session,
-        netlist: Netlist,
-        options: &CompileOptions,
-        library: &CellLibrary,
-    ) -> Result<BackEnd, CompileError> {
-        // Round-trip through EDIF text, as the original pipeline does.
-        let edif = session.run(&EdifWriteStage, netlist)?;
-        let netlist = session.run(&EdifReadStage { edif: &edif }, ())?;
-
-        // EDIF → QMASM.
-        let (qmasm, stdcell) = session.run(
-            &QmasmGenStage {
-                netlist: &netlist,
-                library,
-            },
-            (),
-        )?;
-        let mut includes = MapIncludes::new();
-        includes.insert("stdcell.qmasm", stdcell.clone());
-
-        // QMASM → logical Ising.
-        let program = session.run(
-            &QmasmParseStage {
-                qmasm: &qmasm,
-                includes: &includes,
-            },
-            (),
-        )?;
-        let assemble_options = AssembleOptions {
-            merge_chains: options.merge_chains,
-            chain_strength: options.chain_strength,
-            pin_weight: None,
-        };
-        let assembled = session.run(
-            &AssembleStage {
-                program: &program,
-                options: assemble_options,
-            },
-            (),
-        )?;
-
-        let expected = expected_ground_energy_of(&netlist, library, &assembled)?;
-
-        // Static analysis over the assembled model. The expected ground
-        // energy just derived feeds the roof-duality and exact-audit
-        // passes; the unmerged chain strength feeds the sufficiency bound
-        // when the caller did not pick one explicitly.
-        let analysis = if options.analysis.enabled {
-            let analysis_options = analysis_options_for(options, expected);
-            let report = session.run(
-                &AnalyzeStage {
-                    assembled: &assembled,
-                    program: &program,
-                    options: &analysis_options,
-                },
-                (),
-            )?;
-            if report.diagnostics.has_errors() {
-                return Err(CompileError::Analysis(report.diagnostics.clone()));
-            }
-            report
-        } else {
-            AnalysisReport::empty()
-        };
-
-        Ok(BackEnd {
-            netlist,
-            edif,
-            qmasm,
-            stdcell,
-            program,
-            assembled,
-            expected,
-            analysis,
-        })
-    }
-
-    /// The previous compile's back-end artifacts, for a replay.
-    fn replay(prev: &Compiled) -> BackEnd {
-        BackEnd {
-            netlist: prev.netlist.clone(),
-            edif: prev.edif.clone(),
-            qmasm: prev.qmasm.clone(),
-            stdcell: prev.stdcell.clone(),
-            program: prev.program.clone(),
-            assembled: prev.assembled.clone(),
-            expected: prev.expected_ground_energy,
-            analysis: prev.analysis.clone(),
-        }
-    }
 }
 
 /// Expected ground energy: Σ instantiated-cell ground energies, plus −1

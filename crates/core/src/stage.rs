@@ -116,16 +116,11 @@ impl Session {
         Ok(output)
     }
 
-    /// Records a stage the incremental compiler skipped: the input hash
+    /// Records a stage the incremental compiler skipped: the entry key
     /// matched the previous compile, so the cached artifact is replayed
     /// instead of re-running the stage (DESIGN.md §14). Emits a
     /// `stage_skip` flight event (tagged with the current trace id, if
     /// any) and bumps `qac_incr_stage_hit_total`.
-    pub fn skip<S: Stage>(&mut self, stage: &S, output_size: usize) {
-        self.skip_named(stage.name(), output_size);
-    }
-
-    /// [`Session::skip`] for callers that only have the stage name.
     pub fn skip_named(&mut self, name: &str, output_size: usize) {
         qac_telemetry::global_flight().record(FlightKind::StageSkip, name, output_size as f64);
         qac_telemetry::global().counter_add("qac_incr_stage_hit_total", 1);

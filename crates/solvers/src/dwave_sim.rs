@@ -278,26 +278,13 @@ impl DWaveSim {
         // with the host, these only drift if the router actually does
         // more work, so CI can put a hard budget on them. Each counter
         // has an unlabeled aggregate and a `{topology="family"}` variant
-        // so budgets can be set per fabric. The router adds the unlabeled
-        // heap-pop, edge-relaxation and weight-update totals itself, so
-        // only their labeled variants are added here.
-        let family = topology.family();
-        let route_iterations = embed_stats.route_iterations as u64;
-        let restarts = embed_stats.restarts as u64;
-        telemetry.counter_add("qac_route_iterations_total", route_iterations);
-        telemetry.counter_add("qac_embed_restarts_total", restarts);
-        for (name, value) in [
-            ("qac_route_iterations_total", route_iterations),
-            ("qac_embed_restarts_total", restarts),
-            ("qac_embed_heap_pops_total", embed_stats.heap_pops),
-            (
-                "qac_embed_edge_relaxations_total",
-                embed_stats.edge_relaxations,
-            ),
-            ("qac_embed_weight_updates_total", embed_stats.weight_updates),
-        ] {
-            telemetry.counter_add(&format!("{name}{{topology=\"{family}\"}}"), value);
-        }
+        // so budgets can be set per fabric.
+        telemetry.counter_add(
+            "qac_route_iterations_total",
+            embed_stats.route_iterations as u64,
+        );
+        telemetry.counter_add("qac_embed_restarts_total", embed_stats.restarts as u64);
+        embed_stats.export_topology_counters(topology.family());
         phase_done(&mut phases, "embed", embed_stats.restarts);
 
         let distort_span = telemetry.span("sample:distort");

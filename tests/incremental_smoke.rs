@@ -1,7 +1,7 @@
 //! The incremental compiler's contract on the paper's Figure 2 circuit:
 //! a warm recompile matches a cold one byte for byte, runs on the
 //! pre-edit embedding, and an edit that changes nothing after the front
-//! end replays the whole back end.
+//! end runs every stage and copies every certificate obligation.
 
 use std::sync::Arc;
 
@@ -66,25 +66,24 @@ fn gate_swap_recompiles_like_a_cold_compile() {
 }
 
 #[test]
-fn whitespace_edit_replays_the_back_end() {
+fn whitespace_edit_runs_every_stage_and_splices_the_certificate() {
     let options = CompileOptions::default();
     let prev = compile(FIGURE2, "circuit", &options).unwrap();
     let touched = format!("\n\n{FIGURE2}   \n");
     let (warm, report) = compile_incremental(&prev, &touched, "circuit", &options).unwrap();
-    for stage in [
-        "edif-write",
-        "edif-read",
-        "qmasm-gen",
-        "qmasm-parse",
-        "assemble",
-        "analyze",
-    ] {
-        assert_eq!(
-            report.disposition(stage),
-            Some(StageDisposition::Skipped),
-            "{stage}"
-        );
+    for (stage, disposition) in &report.stages {
+        if stage != "certify" {
+            assert_eq!(*disposition, StageDisposition::Full, "{stage}");
+        }
     }
+    assert!(
+        matches!(
+            report.disposition("certify"),
+            Some(StageDisposition::Spliced { redone: 0, .. })
+        ),
+        "{:?}",
+        report.disposition("certify")
+    );
     let cold = compile(&touched, "circuit", &options).unwrap();
     assert_eq!(artifact_mismatch(&cold, &warm), None);
 }
