@@ -5,7 +5,7 @@
 #   ./ci.sh analyze  # run only the static-analysis gate
 #
 # Workspace tests run in release because the embedding acceptance tests
-# (crates/bench/tests/cache_portfolio.rs) route on a C16 Chimera graph
+# (crates/bench/tests/embedding_cache.rs) route on a C16 Chimera graph
 # and are painfully slow unoptimized.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -80,7 +80,10 @@ cargo run --release -q -p qac-bench --bin experiments -- \
 #   physical qubits    593 / 263 / 241 / 295 (summed over the workloads)
 #   max chain          15 / 5 / 6 / 24 (longest chain of any workload)
 # Physical qubits and max chain are the §6 cost of a program on a
-# fabric; the max-chain caps are floor(1.30 x today).
+# fabric; the max-chain caps are floor(1.30 x today). The unlabeled
+# route-iteration budget is the sum of the four labeled ones; since
+# telemetry_check fails on a missing sample, it also checks that the
+# topology experiment exports the unlabeled total.
 cargo run --release -q -p qac-bench --bin telemetry_check -- \
     "$tmpdir/topology.jsonl" "$tmpdir/topology.prom" \
     --counter-max 'qac_embed_heap_pops_total{topology="chimera"}=9600000' \
@@ -102,7 +105,8 @@ cargo run --release -q -p qac-bench --bin telemetry_check -- \
     --counter-max 'qac_embed_edge_relaxations_total{topology="king"}=750000000' \
     --counter-max 'qac_route_iterations_total{topology="king"}=870' \
     --counter-max 'qac_embed_physical_qubits_total{topology="king"}=385' \
-    --counter-max 'qac_embed_max_chain{topology="king"}=31'
+    --counter-max 'qac_embed_max_chain{topology="king"}=31' \
+    --counter-max qac_route_iterations_total=1125
 
 echo "==> topology gate self-test (a budget one below today's value must fail)"
 for topology in chimera pegasus zephyr king; do

@@ -3,7 +3,6 @@
 mod ablations;
 mod analyze;
 mod apps;
-mod batch;
 mod certify;
 mod edit;
 mod figure2;
@@ -17,7 +16,6 @@ pub use analyze::{
     analysis_diagnostics_json, analysis_report_text, analyze_workloads, run_analyze, BROKEN_QMASM,
 };
 pub use apps::{run_circsat, run_counter, run_factor, run_map_color};
-pub use batch::run_batch;
 pub use certify::{certified_corpus, certify_workload, run_certify, verify_certificate_file};
 pub use edit::{canonical_gate_edit, embed_for_edit, run_edit};
 pub use figure2::run_figure2_3;
@@ -39,7 +37,6 @@ pub const ALL: &[(&str, fn())] = &[
     ("counter", run_counter),
     ("sec6_1", run_sec6_1),
     ("sec6_2", run_sec6_2),
-    ("batch", run_batch),
     ("samplers", run_samplers),
     ("ablation_chain", run_ablation_chain),
     ("ablation_gap", run_ablation_gap),

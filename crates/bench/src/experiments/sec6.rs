@@ -3,9 +3,7 @@
 
 use std::time::Instant;
 
-use qac_chimera::{
-    embed_ising, find_embedding_or_clique, find_embedding_portfolio, Chimera, EmbedOptions,
-};
+use qac_chimera::{embed_ising, find_embedding_or_clique, Chimera, EmbedOptions};
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
 use qac_solvers::{DWaveSim, DWaveSimOptions, TimingModel};
 
@@ -77,6 +75,8 @@ pub fn run_sec6_1() {
     let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
     let mut qubits = Vec::new();
     let mut terms = Vec::new();
+    // (physical qubits, max chain, seed) of the cheapest embedding.
+    let mut best: Option<(usize, usize, u64)> = None;
     for seed in 0..25u64 {
         let options = EmbedOptions {
             seed: 1000 + seed,
@@ -91,7 +91,11 @@ pub fn run_sec6_1() {
         )
         .expect("map coloring embeds on a 2000Q");
         let embedded = embed_ising(&scaled.model, &embedding, &hardware, 2.0);
-        qubits.push(embedding.num_physical_qubits() as f64);
+        let physical = embedding.num_physical_qubits();
+        if best.is_none_or(|(fewest, ..)| physical < fewest) {
+            best = Some((physical, embedding.max_chain_length(), options.seed));
+        }
+        qubits.push(physical as f64);
         terms.push(embedded.physical.num_terms(1e-12) as f64);
     }
     let (qm, qs) = mean_std(&qubits);
@@ -101,26 +105,10 @@ pub fn run_sec6_1() {
     );
     println!("  physical terms:       {tm:>6.0} ± {ts:.0}   (paper: 963 ± 53)");
 
-    // The ± spread above is exactly what an embedding portfolio harvests:
-    // run 8 seeded searches in parallel, keep the cheapest.
-    let (portfolio, stats) = find_embedding_portfolio(
-        &edges,
-        scaled.model.num_vars(),
-        &hardware,
-        &EmbedOptions {
-            seed: 1000,
-            ..Default::default()
-        },
-        8,
-    )
-    .expect("portfolio embeds");
-    println!(
-        "  portfolio (8 arms):   {:>6} qubits, max chain {} ({} restarts, {} route iterations)",
-        portfolio.num_physical_qubits(),
-        portfolio.max_chain_length(),
-        stats.restarts,
-        stats.route_iterations
-    );
+    // The ± spread above is the price of one randomized compilation;
+    // the cheapest of the 25 shows what re-seeding could buy.
+    let (fewest, max_chain, seed) = best.expect("25 embeddings ran");
+    println!("  best of 25:           {fewest:>6} qubits, max chain {max_chain} (seed {seed})");
 
     // Hand-coded unary encoding.
     println!("\nhand-coded unary encoding (Dahl/Lucas):");

@@ -401,8 +401,8 @@ mod tests {
         "{\"type\": \"span\", \"id\": 2, \"parent\": 1, \"name\": \"compile\", ",
         "\"track\": 0, \"start_us\": 130, \"dur_us\": 80}\n",
         "{\"type\": \"counter\", \"name\": \"qac_cache_hit_total\", \"value\": 3}\n",
-        "{\"type\": \"gauge\", \"name\": \"qac_bench_batch_jobs\", \"value\": 9}\n",
-        "{\"type\": \"quantile\", \"name\": \"qac_engine_queue_wait_quantiles_us\", ",
+        "{\"type\": \"gauge\", \"name\": \"qac_bench_incremental_speedup\", \"value\": 9}\n",
+        "{\"type\": \"quantile\", \"name\": \"qac_read_energy_quantiles\", ",
         "\"count\": 40, \"sum\": 900, \"p50\": 10.5, \"p90\": 44, \"p99\": 80}\n",
         "{\"type\": \"flight\", \"seq\": 7, \"at_us\": 1500.5, ",
         "\"trace\": \"trace-00000000deadbeef\", \"kind\": \"cache_hit\", ",
@@ -447,7 +447,7 @@ mod tests {
         assert!(text.contains("top spans by total time"));
         assert!(text.contains("compile"));
         assert!(text.contains("200.5"), "summed span time:\n{text}");
-        assert!(text.contains("qac_engine_queue_wait_quantiles_us"));
+        assert!(text.contains("qac_read_energy_quantiles"));
         assert!(text.contains("trace-00000000deadbeef: 2 events"));
         assert!(text.contains("cache_hit"));
     }

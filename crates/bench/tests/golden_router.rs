@@ -130,42 +130,3 @@ fn topology_router_chains_match_goldens() {
         "routed chains diverged from tests/golden/router_chains_topology.txt"
     );
 }
-
-/// The parallel restart race must be a pure function of `(seed, tries)`
-/// on the new fabrics too: 1 worker thread and 8 worker threads pick
-/// the same embedding qubit-for-qubit.
-#[test]
-fn restart_race_is_thread_count_invariant_on_new_fabrics() {
-    for (workload, edges, num_vars) in qac_bench::golden::golden_workloads() {
-        for (token, topology) in qac_bench::golden::golden_topologies() {
-            if token == "king48" && workload == "australia-unary" {
-                // The race runs all 16 tries; on the king lattice this
-                // workload needs seconds per try, so the cheap pair of
-                // records covers the fabric.
-                continue;
-            }
-            let hardware = topology.graph();
-            let run = |threads: usize| {
-                find_embedding(
-                    &edges,
-                    num_vars,
-                    &hardware,
-                    &EmbedOptions {
-                        seed: 11,
-                        parallel_restarts: true,
-                        restart_threads: threads,
-                        ..EmbedOptions::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{workload} race on {token}: {e}"))
-            };
-            let one = run(1);
-            let eight = run(8);
-            assert_eq!(
-                one.chains(),
-                eight.chains(),
-                "{workload} on {token}: restart race depends on thread count"
-            );
-        }
-    }
-}

@@ -81,10 +81,6 @@ pub fn embedding_key(
     h.write_usize(options.tries);
     h.write_usize(options.rounds);
     h.write_u64(options.penalty_base.to_bits());
-    // The restart-race flag changes which embedding comes back (different
-    // per-try seeds, best-of-all-tries winner), so it is part of the key;
-    // `restart_threads` never affects the result, so it is not.
-    h.write_u64(u64::from(options.parallel_restarts));
 
     h.write_usize(hardware.num_nodes());
     for node in 0..hardware.num_nodes() {
@@ -149,9 +145,9 @@ impl CacheStats {
 /// [`EmbeddingCache::stats`] snapshot (which takes the same lock) is
 /// always coherent: `entries <= misses` and `hits + misses` equals the
 /// number of completed lookups — under any number of concurrent
-/// threads, not just at quiescence. The engine's workers hammer one
-/// shared cache, so these invariants are load-bearing (and tested
-/// below).
+/// threads, not just at quiescence. A cache rides in an `Arc` on
+/// `DWaveSimOptions`, so any threads that share those options share the
+/// cache, and these invariants are tested below.
 #[derive(Default)]
 pub struct EmbeddingCache {
     entries: Mutex<HashMap<u64, Embedding>>,
@@ -423,31 +419,6 @@ mod tests {
                 &hw2
             )
         );
-        assert_ne!(
-            k0,
-            key(
-                &triangle(),
-                3,
-                &EmbedOptions {
-                    parallel_restarts: true,
-                    ..base.clone()
-                },
-                &hw2
-            )
-        );
-        // Thread count is a wall-time knob, never a result knob: same key.
-        assert_eq!(
-            k0,
-            key(
-                &triangle(),
-                3,
-                &EmbedOptions {
-                    restart_threads: 8,
-                    ..base.clone()
-                },
-                &hw2
-            )
-        );
         assert_ne!(k0, key(&triangle(), 3, &base, &hw3));
         assert_ne!(k0, key(&triangle(), 3, &base, &dropped));
 
@@ -529,8 +500,8 @@ mod tests {
     #[test]
     fn concurrent_hammer_loses_no_counter_updates() {
         let _serial = serial_lookups();
-        // The engine fans workers out over one shared cache; this is the
-        // lost-update regression test. 8 threads × 24 lookups over 4
+        // Threads that share one cache must not lose counter updates;
+        // this is the lost-update regression test. 8 threads × 24 lookups over 4
         // distinct keys: every lookup must be accounted as exactly one
         // hit or miss, every key must end up cached, and mid-flight
         // stats() snapshots must never observe entries the miss counter

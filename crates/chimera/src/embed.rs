@@ -28,15 +28,8 @@
 //! Work counters (heap pops, edge relaxations, weight updates) are
 //! tallied in [`EmbedStats`] and flushed to the global telemetry recorder
 //! as `qac_embed_*_total`, so speedups and regressions are attributable.
-//!
-//! Independent restarts can additionally run as a deterministic parallel
-//! race (see [`EmbedOptions::parallel_restarts`]): per-try seeds come
-//! from a dedicated splitmix64 family and the winner is chosen by
-//! `(physical qubits, try index)`, so the result is byte-identical
-//! whether the race runs on 1 thread or 8.
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -56,23 +49,6 @@ pub struct EmbedOptions {
     pub rounds: usize,
     /// Base of the exponential reuse penalty.
     pub penalty_base: f64,
-    /// Run the `tries` restarts as a deterministic parallel race instead
-    /// of the sequential first-success loop.
-    ///
-    /// The race gives every try its own seed (derived with
-    /// [`restart_seed`]), runs **all** tries, and keeps the embedding
-    /// with the fewest physical qubits (ties broken by lowest try
-    /// index). The result is a pure function of `(seed, tries)` — it
-    /// does not depend on [`EmbedOptions::restart_threads`] — which is
-    /// pinned by tests. `false` (the default) preserves the historical
-    /// sequential semantics exactly: one RNG threaded through the tries,
-    /// stopping at the first success.
-    pub parallel_restarts: bool,
-    /// Worker threads for the restart race; `0` means
-    /// `available_parallelism`. Ignored unless
-    /// [`EmbedOptions::parallel_restarts`] is set. Never affects the
-    /// result, only the wall time.
-    pub restart_threads: usize,
 }
 
 impl Default for EmbedOptions {
@@ -82,43 +58,8 @@ impl Default for EmbedOptions {
             tries: 16,
             rounds: 40,
             penalty_base: 8.0,
-            parallel_restarts: false,
-            restart_threads: 0,
         }
     }
-}
-
-/// The golden-ratio increment used by splitmix64 to space stream states
-/// (the same constant the engine and the sampler portfolio use).
-const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// Salt folded into restart-race seeds so the family is disjoint from
-/// the engine's job/attempt seeds (`splitmix64(batch + (job+1)·γ)`) and
-/// the portfolio's arm seeds (`base + arm·γ`). Distinctness across all
-/// three families is pinned by `crates/engine/tests/determinism.rs`.
-const RESTART_SEED_SALT: u64 = 0x5eed_e4be_dace_d00d;
-
-/// The splitmix64 output permutation (bijective avalanche mix).
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// The seed of restart `try_index` in a parallel restart race based on
-/// `base` ([`EmbedOptions::seed`]).
-///
-/// `mix((base ⊕ salt) + (try+1)·γ)`: γ-spacing keeps per-try states
-/// distinct, the salt keeps the family disjoint from the engine's and
-/// the portfolio's seed derivations, and the finalizer decorrelates
-/// neighbouring tries.
-#[must_use]
-pub fn restart_seed(base: u64, try_index: u64) -> u64 {
-    splitmix64(
-        (base ^ RESTART_SEED_SALT)
-            .wrapping_add(try_index.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)),
-    )
 }
 
 /// Work counters for one embedding call — how much routing effort the
@@ -126,8 +67,7 @@ pub fn restart_seed(base: u64, try_index: u64) -> u64 {
 /// how tests distinguish warm from cold embeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EmbedStats {
-    /// Rip-up-and-reroute rounds executed, summed over all restarts (and
-    /// over all portfolio arms for [`find_embedding_portfolio`]).
+    /// Rip-up-and-reroute rounds executed, summed over all restarts.
     pub route_iterations: usize,
     /// Randomized restarts begun (1 = the first try succeeded).
     pub restarts: usize,
@@ -144,21 +84,19 @@ pub struct EmbedStats {
 }
 
 impl EmbedStats {
-    /// Accumulates another call's counters into this one.
-    pub fn absorb(&mut self, other: &EmbedStats) {
-        self.route_iterations += other.route_iterations;
-        self.restarts += other.restarts;
-        self.heap_pops += other.heap_pops;
-        self.edge_relaxations += other.edge_relaxations;
-        self.weight_updates += other.weight_updates;
-    }
-
     /// Adds the routing-work counters to the global telemetry recorder
     /// under a `{topology="family"}` label, so CI can budget each fabric
-    /// on its own. The router adds the unlabeled heap-pop,
-    /// edge-relaxation and weight-update totals itself.
+    /// on its own. It also adds the unlabeled `qac_route_iterations_total`
+    /// and `qac_embed_restarts_total`, so in every exporter those two
+    /// equal the sum of their labeled variants.
+    ///
+    /// The router adds the unlabeled heap-pop, edge-relaxation and
+    /// weight-update totals itself, because only it sees the work of a
+    /// search that fails (before a clique fallback or an error).
     pub fn export_topology_counters(&self, family: &str) {
         let telemetry = qac_telemetry::global();
+        telemetry.counter_add("qac_route_iterations_total", self.route_iterations as u64);
+        telemetry.counter_add("qac_embed_restarts_total", self.restarts as u64);
         for (name, value) in [
             ("qac_route_iterations_total", self.route_iterations as u64),
             ("qac_embed_restarts_total", self.restarts as u64),
@@ -306,12 +244,27 @@ pub fn find_embedding_with_stats(
         }
     }
 
+    // Sequential restarts: one RNG threaded through the tries, stopping
+    // at the first success (the golden-router test pins each seed's
+    // result).
     let mut stats = EmbedStats::default();
-    let found = if options.parallel_restarts {
-        race_restarts(&adj, hardware, options, &mut stats)
-    } else {
-        sequential_restarts(&adj, hardware, options, &mut stats)
-    };
+    let mut rng = StdRng::seed_from_u64(options.seed);
+    let mut scratch = RouterScratch::new(hardware);
+    let mut found = None;
+    for _try in 0..options.tries {
+        stats.restarts += 1;
+        if let Some(embedding) = attempt(
+            &adj,
+            options,
+            &mut rng,
+            &mut stats.route_iterations,
+            &mut scratch,
+        ) {
+            found = Some(embedding);
+            break;
+        }
+    }
+    scratch.counters.accumulate_into(&mut stats);
     flush_route_counters(&stats);
     match found {
         Some(mut embedding) => {
@@ -325,129 +278,6 @@ pub fn find_embedding_with_stats(
     }
 }
 
-/// The historical restart loop: one RNG threaded through the tries,
-/// stopping at the first success (so a seed's result is unchanged from
-/// the pre-scratch implementation — the golden-router test pins this).
-fn sequential_restarts(
-    adj: &[Vec<usize>],
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-    stats: &mut EmbedStats,
-) -> Option<Embedding> {
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let mut scratch = RouterScratch::new(hardware);
-    let mut found = None;
-    for _try in 0..options.tries {
-        stats.restarts += 1;
-        if let Some(embedding) = attempt(
-            adj,
-            options,
-            &mut rng,
-            &mut stats.route_iterations,
-            &mut scratch,
-        ) {
-            found = Some(embedding);
-            break;
-        }
-    }
-    scratch.counters.accumulate_into(stats);
-    found
-}
-
-/// The deterministic parallel restart race: all `tries` run with
-/// independent [`restart_seed`]s, distributed over scoped worker threads
-/// by an atomic work queue; the winner is the successful try with the
-/// fewest physical qubits, ties broken by the lowest try index. Every
-/// part of the outcome (embedding, counters) is a pure function of
-/// `(seed, tries)` — never of the thread count or scheduling.
-/// One race worker's output: per-try `(try_index, embedding)` results in
-/// claim order, the route iterations it spent, and its work counters.
-type RaceWorkerOutput = (Vec<(usize, Option<Embedding>)>, usize, RouteCounters);
-
-fn race_restarts(
-    adj: &[Vec<usize>],
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-    stats: &mut EmbedStats,
-) -> Option<Embedding> {
-    let tries = options.tries;
-    if tries == 0 {
-        return None;
-    }
-    let threads = match options.restart_threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .clamp(1, tries);
-
-    let next_try = AtomicUsize::new(0);
-    let mut per_try: Vec<Option<Embedding>> = vec![None; tries];
-    let mut worker_outputs: Vec<RaceWorkerOutput> = Vec::with_capacity(threads);
-    // The job-scoped trace id does not cross thread spawns by itself;
-    // capture it here and re-enter it in every race worker so flight
-    // events recorded while routing attribute to the requesting job.
-    let trace = qac_telemetry::current_trace();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next_try = &next_try;
-                scope.spawn(move || {
-                    let _trace = qac_telemetry::TraceScope::enter(trace);
-                    let mut scratch = RouterScratch::new(hardware);
-                    let mut local = Vec::new();
-                    let mut route_iterations = 0usize;
-                    loop {
-                        let t = next_try.fetch_add(1, Ordering::Relaxed);
-                        if t >= tries {
-                            break;
-                        }
-                        let mut rng = StdRng::seed_from_u64(restart_seed(options.seed, t as u64));
-                        let found =
-                            attempt(adj, options, &mut rng, &mut route_iterations, &mut scratch);
-                        local.push((t, found));
-                    }
-                    (local, route_iterations, scratch.counters)
-                })
-            })
-            .collect();
-        for handle in handles {
-            worker_outputs.push(handle.join().expect("restart race arm does not panic"));
-        }
-    });
-
-    // Counters are additive, so their totals are independent of how the
-    // work queue distributed tries over workers.
-    for (local, route_iterations, counters) in worker_outputs {
-        stats.route_iterations += route_iterations;
-        counters.accumulate_into(stats);
-        for (t, found) in local {
-            per_try[t] = found;
-        }
-    }
-    stats.restarts += tries;
-
-    let mut winner: Option<(usize, usize, Embedding)> = None;
-    for (t, embedding) in per_try.into_iter().enumerate() {
-        let Some(embedding) = embedding else {
-            continue;
-        };
-        let qubits = embedding.num_physical_qubits();
-        // Strict `<` keeps the lowest try index on quality ties (tries
-        // are visited in index order).
-        if winner.as_ref().is_none_or(|(best, ..)| qubits < *best) {
-            winner = Some((qubits, t, embedding));
-        }
-    }
-    winner.map(|(qubits, t, embedding)| {
-        qac_telemetry::global_flight().record(
-            qac_telemetry::FlightKind::RestartWin,
-            &format!("try:{t}"),
-            qubits as f64,
-        );
-        embedding
-    })
-}
-
 /// Reports the scratch work counters to the global telemetry recorder
 /// (no-ops when telemetry is disabled).
 fn flush_route_counters(stats: &EmbedStats) {
@@ -455,78 +285,6 @@ fn flush_route_counters(stats: &EmbedStats) {
     recorder.counter_add("qac_embed_heap_pops_total", stats.heap_pops);
     recorder.counter_add("qac_embed_edge_relaxations_total", stats.edge_relaxations);
     recorder.counter_add("qac_embed_weight_updates_total", stats.weight_updates);
-}
-
-/// Runs `attempts` independently-seeded embedding searches in parallel
-/// (one thread each) and keeps the cheapest result, comparing by
-/// `(physical qubits, max chain length)`. Arm 0 uses `options.seed`
-/// verbatim, so a one-arm portfolio reproduces [`find_embedding`]
-/// exactly; the winner is chosen deterministically regardless of thread
-/// scheduling.
-///
-/// The paper compiles each program 25 times precisely because the CMR
-/// heuristic is randomized (§6.1, "369 ± 26 physical qubits"); a
-/// portfolio harvests that variance instead of suffering it.
-///
-/// # Errors
-/// The first arm's error when every arm fails.
-pub fn find_embedding_portfolio(
-    edges: &[(usize, usize)],
-    num_vars: usize,
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-    attempts: usize,
-) -> Result<(Embedding, EmbedStats), EmbedError> {
-    let attempts = attempts.max(1);
-    let mut results: Vec<Result<(Embedding, EmbedStats), EmbedError>> =
-        Vec::with_capacity(attempts);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..attempts)
-            .map(|arm| {
-                let arm_options = EmbedOptions {
-                    seed: options
-                        .seed
-                        .wrapping_add((arm as u64).wrapping_mul(GOLDEN_GAMMA)),
-                    ..options.clone()
-                };
-                scope.spawn(move || {
-                    find_embedding_with_stats(edges, num_vars, hardware, &arm_options)
-                })
-            })
-            .collect();
-        for handle in handles {
-            results.push(handle.join().expect("embedding arm does not panic"));
-        }
-    });
-
-    let mut stats = EmbedStats::default();
-    let mut best: Option<Embedding> = None;
-    let mut first_err: Option<EmbedError> = None;
-    for result in results {
-        match result {
-            Ok((embedding, arm_stats)) => {
-                stats.absorb(&arm_stats);
-                let better = best.as_ref().is_none_or(|b| {
-                    (
-                        embedding.num_physical_qubits(),
-                        embedding.max_chain_length(),
-                    ) < (b.num_physical_qubits(), b.max_chain_length())
-                });
-                if better {
-                    best = Some(embedding);
-                }
-            }
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    match best {
-        Some(embedding) => Ok((embedding, stats)),
-        None => Err(first_err.expect("at least one arm ran")),
-    }
 }
 
 /// Finds an embedding with the randomized heuristic, falling back to the
@@ -796,7 +554,7 @@ impl DijkstraLayer {
 }
 
 /// The router's reusable working set: allocated once per
-/// [`find_embedding`] call (or once per race worker) and shared by every
+/// [`find_embedding`] call and shared by every
 /// Dijkstra invocation across all rounds and restarts.
 struct RouterScratch {
     /// CSR copy of the hardware adjacency restricted to **active**
@@ -1585,60 +1343,6 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_single_arm_matches_plain_search() {
-        let hw = Chimera::new(3).graph();
-        let edges: Vec<(usize, usize)> = (0..6)
-            .flat_map(|i| ((i + 1)..6).map(move |j| (i, j)))
-            .collect();
-        let plain = find_embedding(&edges, 6, &hw, &opts(11)).unwrap();
-        let (port, _) = find_embedding_portfolio(&edges, 6, &hw, &opts(11), 1).unwrap();
-        assert_eq!(plain, port);
-    }
-
-    #[test]
-    fn portfolio_never_worse_than_its_arms() {
-        let hw = Chimera::new(3).graph();
-        let edges: Vec<(usize, usize)> = (0..7)
-            .flat_map(|i| ((i + 1)..7).map(move |j| (i, j)))
-            .collect();
-        let (best, stats) = find_embedding_portfolio(&edges, 7, &hw, &opts(42), 4).unwrap();
-        assert!(best.validate(&edges, &hw));
-        assert!(stats.restarts >= 4, "every arm restarts at least once");
-        // Re-run each arm's exact configuration serially: the portfolio
-        // result must match the best of them.
-        let mut arm_best = usize::MAX;
-        for arm in 0..4u64 {
-            let o = EmbedOptions {
-                seed: 42u64.wrapping_add(arm.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-                ..opts(42)
-            };
-            let e = find_embedding(&edges, 7, &hw, &o).unwrap();
-            arm_best = arm_best.min(e.num_physical_qubits());
-        }
-        assert_eq!(best.num_physical_qubits(), arm_best);
-    }
-
-    #[test]
-    fn portfolio_propagates_failure() {
-        let hw = Chimera::new(1).graph();
-        let mut edges = Vec::new();
-        for i in 0..9 {
-            for j in (i + 1)..9 {
-                edges.push((i, j));
-            }
-        }
-        let fast = EmbedOptions {
-            tries: 2,
-            rounds: 8,
-            ..opts(8)
-        };
-        assert!(matches!(
-            find_embedding_portfolio(&edges, 9, &hw, &fast, 3),
-            Err(EmbedError::NoEmbeddingFound { .. })
-        ));
-    }
-
-    #[test]
     fn empty_hardware_rejected() {
         let mut hw = HardwareGraph::new(2);
         hw.add_edge(0, 1);
@@ -1648,96 +1352,5 @@ mod tests {
             find_embedding(&[(0, 1)], 2, &hw, &opts(9)),
             Err(EmbedError::EmptyHardware)
         );
-    }
-
-    #[test]
-    fn restart_seeds_are_pairwise_distinct() {
-        let mut seen = std::collections::HashSet::new();
-        for base in [0u64, 0xe4bed, u64::MAX / 3] {
-            for t in 0..1024u64 {
-                assert!(
-                    seen.insert(restart_seed(base, t)),
-                    "restart seed collision at base {base:#x} try {t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn race_is_identical_across_thread_counts() {
-        // The ISSUE-4 determinism contract: the parallel restart race is
-        // a pure function of (seed, tries) — 1 worker thread and 8 must
-        // produce byte-identical embeddings and work counters.
-        let hw = Chimera::new(3).graph();
-        let edges: Vec<(usize, usize)> = (0..7)
-            .flat_map(|i| ((i + 1)..7).map(move |j| (i, j)))
-            .collect();
-        let run = |threads: usize| {
-            let o = EmbedOptions {
-                parallel_restarts: true,
-                restart_threads: threads,
-                tries: 6,
-                rounds: 16,
-                ..opts(77)
-            };
-            find_embedding_with_stats(&edges, 7, &hw, &o).unwrap()
-        };
-        let (e1, s1) = run(1);
-        let (e8, s8) = run(8);
-        assert_eq!(e1, e8, "embedding differs between 1 and 8 race threads");
-        assert_eq!(s1, s8, "work counters differ between 1 and 8 race threads");
-        assert!(e1.validate(&edges, &hw));
-        assert_eq!(s1.restarts, 6, "the race runs every try");
-    }
-
-    #[test]
-    fn race_picks_the_best_try() {
-        // Re-running each try's seed sequentially must reproduce the
-        // race winner's qubit count: the winner is min over tries by
-        // (physical qubits, try index).
-        let hw = Chimera::new(3).graph();
-        let edges: Vec<(usize, usize)> = (0..6)
-            .flat_map(|i| ((i + 1)..6).map(move |j| (i, j)))
-            .collect();
-        let tries = 4usize;
-        let race_options = EmbedOptions {
-            parallel_restarts: true,
-            restart_threads: 2,
-            tries,
-            rounds: 16,
-            ..opts(5)
-        };
-        let (won, _) = find_embedding_with_stats(&edges, 6, &hw, &race_options).unwrap();
-        let mut best = usize::MAX;
-        for t in 0..tries as u64 {
-            let o = EmbedOptions {
-                seed: restart_seed(5, t),
-                tries: 1,
-                rounds: 16,
-                ..opts(5)
-            };
-            if let Ok(e) = find_embedding(&edges, 6, &hw, &o) {
-                best = best.min(e.num_physical_qubits());
-            }
-        }
-        assert_eq!(won.num_physical_qubits(), best);
-    }
-
-    #[test]
-    fn race_propagates_failure() {
-        let hw = Chimera::new(1).graph();
-        let edges: Vec<(usize, usize)> = (0..9)
-            .flat_map(|i| ((i + 1)..9).map(move |j| (i, j)))
-            .collect();
-        let o = EmbedOptions {
-            parallel_restarts: true,
-            tries: 2,
-            rounds: 8,
-            ..opts(8)
-        };
-        assert!(matches!(
-            find_embedding(&edges, 9, &hw, &o),
-            Err(EmbedError::NoEmbeddingFound { .. })
-        ));
     }
 }

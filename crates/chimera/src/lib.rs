@@ -49,8 +49,7 @@ pub use cache::{embedding_key, topology_embedding_key, CacheStats, EmbeddingCach
 pub use chimera::Chimera;
 pub use embed::{
     find_embedding, find_embedding_or_clique, find_embedding_or_clique_with_stats,
-    find_embedding_portfolio, find_embedding_with_stats, restart_seed, EmbedError, EmbedOptions,
-    EmbedStats, Embedding,
+    find_embedding_with_stats, EmbedError, EmbedOptions, EmbedStats, Embedding,
 };
 pub use graph::{CsrNeighbors, HardwareGraph};
 pub use witness::{chain_strength_bound, contraction_witness, ChainWitness};

@@ -68,8 +68,7 @@ impl Trace {
 
     /// The first stage with the given name, if it ran.
     ///
-    /// Repeated stages (portfolio arms each emitting `sample:*`, several
-    /// runs merged into one trace) hide behind the first entry here; use
+    /// Repeated stages (several runs merged into one trace) hide behind the first entry here; use
     /// [`Trace::all`] or [`Trace::total_for`] when a name can repeat.
     pub fn get(&self, name: &str) -> Option<&StageTrace> {
         self.stages.iter().find(|s| s.name == name)
@@ -192,8 +191,9 @@ mod tests {
 
     #[test]
     fn all_and_total_for_see_repeated_stages() {
-        // `get` only ever returns the first entry with a name — portfolio
-        // arms each emit `sample:*`, so repeated names are the norm.
+        // `get` only ever returns the first entry with a name — traces
+        // merged from several runs repeat `sample:*`, so repeated names
+        // are the norm.
         let mut trace = Trace::new();
         trace.record(stage("sample:embed", 5));
         trace.record(stage("sample:anneal", 2));

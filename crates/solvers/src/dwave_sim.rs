@@ -23,8 +23,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qac_chimera::{
-    embed_ising, find_embedding_or_clique_with_stats, find_embedding_portfolio, EmbedError,
-    EmbedOptions, EmbedStats, Embedding, EmbeddingCache, Topology, TopologySpec,
+    embed_ising, find_embedding_or_clique_with_stats, EmbedError, EmbedOptions, EmbedStats,
+    Embedding, EmbeddingCache, Topology, TopologySpec,
 };
 use qac_pbf::scale::{quantize, scale_to_range, CoefficientRange};
 use qac_pbf::Ising;
@@ -109,9 +109,6 @@ pub struct DWaveSimOptions {
     pub annealer: PhysicalAnnealer,
     /// Embedding heuristic options.
     pub embed: EmbedOptions,
-    /// Parallel embedding attempts; the cheapest result (by physical
-    /// qubits, then max chain length) wins. 1 = plain single search.
-    pub embed_attempts: usize,
     /// Shared embedding cache. When set, a repeated (problem, options,
     /// hardware) combination reuses the stored embedding and does zero
     /// routing work.
@@ -132,7 +129,6 @@ impl Default for DWaveSimOptions {
             anneal_sweeps: 64,
             annealer: PhysicalAnnealer::default(),
             embed: EmbedOptions::default(),
-            embed_attempts: 1,
             embedding_cache: None,
             timing: TimingModel::default(),
         }
@@ -236,33 +232,12 @@ impl DWaveSim {
         drop(scale_span);
         phase_done(&mut phases, "scale", 0);
 
-        // 2. Embed — optionally through the shared cache, optionally as a
-        // portfolio of parallel attempts. A failed portfolio falls back to
-        // the same clique template the single-attempt path uses.
+        // 2. Embed — optionally through the shared cache.
         let mut embed_span = telemetry.span("sample:embed");
         let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
         let num_vars = scaled.model.num_vars();
-        let search = || -> Result<(Embedding, EmbedStats), EmbedError> {
-            if o.embed_attempts > 1 {
-                find_embedding_portfolio(&edges, num_vars, &hardware, &o.embed, o.embed_attempts)
-                    .or_else(|err| {
-                        if let Some(embedding) = topology.clique_embedding(num_vars) {
-                            if embedding.validate(&edges, &hardware) {
-                                let stats = EmbedStats {
-                                    route_iterations: o.embed.tries * o.embed.rounds,
-                                    restarts: o.embed.tries,
-                                    ..EmbedStats::default()
-                                };
-                                return Ok((embedding, stats));
-                            }
-                        }
-                        Err(err)
-                    })
-            } else {
-                find_embedding_or_clique_with_stats(
-                    &edges, num_vars, &topology, &hardware, &o.embed,
-                )
-            }
+        let search = || {
+            find_embedding_or_clique_with_stats(&edges, num_vars, &topology, &hardware, &o.embed)
         };
         let (embedding, embed_stats) = match &o.embedding_cache {
             Some(cache) => {
@@ -279,11 +254,6 @@ impl DWaveSim {
         // more work, so CI can put a hard budget on them. Each counter
         // has an unlabeled aggregate and a `{topology="family"}` variant
         // so budgets can be set per fabric.
-        telemetry.counter_add(
-            "qac_route_iterations_total",
-            embed_stats.route_iterations as u64,
-        );
-        telemetry.counter_add("qac_embed_restarts_total", embed_stats.restarts as u64);
         embed_stats.export_topology_counters(topology.family());
         phase_done(&mut phases, "embed", embed_stats.restarts);
 
@@ -596,24 +566,6 @@ mod tests {
         // Identical embedding and identical decoded samples either way.
         assert_eq!(cold.embedding.chains(), warm.embedding.chains());
         assert_eq!(cold.logical, warm.logical);
-    }
-
-    #[test]
-    fn portfolio_attempts_accumulate_restarts() {
-        let mut m = Ising::new(4);
-        for i in 0..3 {
-            m.add_j(i, i + 1, -1.0);
-        }
-        let single = DWaveSim::new(small_options()).run(&m, 5).unwrap();
-        let opts = DWaveSimOptions {
-            embed_attempts: 4,
-            ..small_options()
-        };
-        let quad = DWaveSim::new(opts).run(&m, 5).unwrap();
-        assert!(quad.embed_stats.restarts >= 4 * single.embed_stats.restarts);
-        // The portfolio winner is never larger than the single attempt
-        // (arm 0 *is* the single attempt).
-        assert!(quad.physical_qubits <= single.physical_qubits);
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //!   core move of D-Wave's classical `qbsolv`;
 //! * [`QbsolvStyle`] — qbsolv-style decomposition: splits problems larger
 //!   than a sub-solver budget into impact-selected subproblems;
-//! * [`Portfolio`] — wraps any reseedable sampler and splits the read
-//!   budget across N differently-seeded parallel copies;
 //! * [`DWaveSim`] — an end-to-end hardware model: minor embedding onto
 //!   any [`TopologySpec`] fabric (Chimera by default, as in the paper),
 //!   coefficient scaling and quantization, analog noise, stochastic
@@ -55,7 +53,6 @@ mod chain_block;
 mod dwave_sim;
 mod exact;
 mod multispin;
-mod portfolio;
 mod qbsolv;
 mod sample;
 mod sqa;
@@ -71,7 +68,6 @@ pub use multispin::{
     lane_seed, pa_resample_seed, pt_swap_seed, BitParallelSa, PaStats, ParallelTempering,
     PopulationAnnealing, PtStats, LANE_SEED_SALT, PA_RESAMPLE_SEED_SALT, PT_SWAP_SEED_SALT,
 };
-pub use portfolio::{Portfolio, Reseed};
 pub use qac_chimera::{Topology, TopologySpec};
 pub use qbsolv::QbsolvStyle;
 pub use sample::{Sample, SampleSet, Sampler};

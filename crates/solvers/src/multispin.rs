@@ -16,8 +16,8 @@
 //!   `β·δ ≤ T[u8]` with `T[k] = −ln((k+0.5)/256)`, so the hot loop does
 //!   no `exp()` and draws one cheap xorshift64 word per lane;
 //! * every lane owns a splitmix64-derived seed from a salted family
-//!   ([`lane_seed`]) that is disjoint from the portfolio-arm, engine
-//!   job/attempt, and embedding-restart families (DESIGN.md §13).
+//!   ([`lane_seed`]) that is disjoint from the swap and resampling
+//!   families (DESIGN.md §13).
 //!
 //! Three samplers share the kernel: [`BitParallelSa`] (independent
 //! annealing restarts — the crate's simulated annealer, behind
@@ -38,9 +38,8 @@ use qac_pbf::{Ising, Spin};
 
 use crate::{SampleSet, Sampler};
 
-/// Weyl increment of the splitmix64 generator (same constant the engine
-/// seed module uses; duplicated because qac-engine depends on this
-/// crate, not the other way around).
+/// Weyl increment of the splitmix64 generator (the golden-ratio
+/// constant γ).
 const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Salt of the replica-lane seed family (`b"LANE_SAL"`); see
@@ -69,10 +68,9 @@ fn splitmix64(state: u64) -> u64 {
 ///
 /// The family is salted with [`LANE_SEED_SALT`] *before* the first
 /// splitmix finalize and spaced by the golden gamma before the second,
-/// so its streams are pairwise distinct and structurally disjoint from
-/// the portfolio-arm family (`base + arm·γ`, unfinalized), the engine
-/// job/attempt families (`mix(base + k·γ)`), and the embedding restart
-/// family (its own salt) — pinned by the engine's Reseed-audit test.
+/// so its streams are pairwise distinct and disjoint from the
+/// [`pt_swap_seed`] and [`pa_resample_seed`] families (each salted on
+/// its own) — pinned by this module's seed-family tests.
 pub fn lane_seed(base: u64, replica: u64) -> u64 {
     splitmix64(
         splitmix64(base ^ LANE_SEED_SALT)
@@ -497,7 +495,7 @@ impl BitParallelSa {
         }
     }
 
-    /// Replaces the base seed (the portfolio reseed contract).
+    /// Replaces the base seed.
     pub fn with_seed(mut self, seed: u64) -> BitParallelSa {
         self.seed = seed;
         self
@@ -760,7 +758,7 @@ impl ParallelTempering {
         }
     }
 
-    /// Replaces the base seed (the portfolio reseed contract).
+    /// Replaces the base seed.
     pub fn with_seed(mut self, seed: u64) -> ParallelTempering {
         self.seed = seed;
         self
@@ -1027,7 +1025,7 @@ impl PopulationAnnealing {
         }
     }
 
-    /// Replaces the base seed (the portfolio reseed contract).
+    /// Replaces the base seed.
     pub fn with_seed(mut self, seed: u64) -> PopulationAnnealing {
         self.seed = seed;
         self
@@ -1434,17 +1432,19 @@ mod tests {
     #[test]
     fn seed_families_are_pairwise_disjoint_in_sample() {
         // Lane, swap, and resample streams must not collide with each
-        // other for realistic index ranges (the engine-side audit
-        // additionally checks them against job/attempt/arm families).
-        let base = 42u64;
+        // other for realistic index ranges, within one base seed or
+        // across several: a collision would correlate two samplers' RNG
+        // streams.
         let mut seen = std::collections::HashSet::new();
-        for r in 0..4096u64 {
-            assert!(seen.insert(lane_seed(base, r)), "lane {r} collides");
+        for base in [42u64, 0, 0x5eed, 0xd_3caf, u64::MAX / 3] {
+            for r in 0..4096u64 {
+                assert!(seen.insert(lane_seed(base, r)), "lane {r} at {base:#x}");
+            }
+            for g in 0..1024u64 {
+                assert!(seen.insert(pt_swap_seed(base, g)), "swap {g} at {base:#x}");
+            }
+            assert!(seen.insert(pa_resample_seed(base)), "resample at {base:#x}");
         }
-        for g in 0..1024u64 {
-            assert!(seen.insert(pt_swap_seed(base, g)), "swap {g} collides");
-        }
-        assert!(seen.insert(pa_resample_seed(base)), "resample collides");
     }
 
     #[test]

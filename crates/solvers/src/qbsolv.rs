@@ -36,8 +36,7 @@ impl QbsolvStyle {
         }
     }
 
-    /// Replaces the base seed (used by portfolio runners to diversify
-    /// otherwise-identical arms).
+    /// Replaces the base seed.
     pub fn with_seed(mut self, seed: u64) -> QbsolvStyle {
         self.seed = seed;
         self

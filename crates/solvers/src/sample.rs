@@ -55,13 +55,6 @@ impl SampleSet {
         set
     }
 
-    /// Merges sample sets into one, re-deduplicating assignments across
-    /// sets (occurrences add). This is how portfolio runners combine the
-    /// reads of their arms.
-    pub fn merge(sets: impl IntoIterator<Item = SampleSet>) -> SampleSet {
-        SampleSet::from_samples(sets.into_iter().flat_map(|s| s.samples).collect())
-    }
-
     fn sort(&mut self) {
         self.samples
             .sort_by(|a, b| sample_order((a.energy, a.occurrences), (b.energy, b.occurrences)));
@@ -206,26 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_re_deduplicates_across_sets() {
-        let m = model();
-        let a = SampleSet::from_reads(
-            &m,
-            vec![vec![Spin::Down, Spin::Down], vec![Spin::Up, Spin::Up]],
-        );
-        let b = SampleSet::from_reads(
-            &m,
-            vec![vec![Spin::Down, Spin::Down], vec![Spin::Up, Spin::Down]],
-        );
-        let merged = SampleSet::merge([a, b]);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged.total_reads(), 4);
-        let best = merged.best().unwrap();
-        assert_eq!(best.spins, vec![Spin::Down, Spin::Down]);
-        assert_eq!(best.occurrences, 2);
-        assert_eq!(SampleSet::merge([]), SampleSet::default());
-    }
-
-    #[test]
     fn from_samples_aggregates_duplicates_and_sorts_by_energy() {
         // Pre-evaluated samples arrive unsorted with duplicate
         // assignments; from_samples must aggregate occurrences and
@@ -272,31 +245,6 @@ mod tests {
             tie(1, [Spin::Up, Spin::Down]),
         ]);
         assert_eq!(flipped.best().unwrap().spins, best.spins);
-    }
-
-    #[test]
-    fn merge_matches_from_reads_of_the_concatenation() {
-        // Splitting reads across sets and merging is equivalent to one
-        // from_reads over all of them — the portfolio-correctness
-        // invariant.
-        let m = model();
-        let reads = [
-            vec![Spin::Down, Spin::Down],
-            vec![Spin::Up, Spin::Up],
-            vec![Spin::Down, Spin::Down],
-            vec![Spin::Up, Spin::Down],
-            vec![Spin::Down, Spin::Up],
-            vec![Spin::Down, Spin::Down],
-        ];
-        let whole = SampleSet::from_reads(&m, reads.to_vec());
-        for split in 1..reads.len() {
-            let (left, right) = reads.split_at(split);
-            let merged = SampleSet::merge([
-                SampleSet::from_reads(&m, left.to_vec()),
-                SampleSet::from_reads(&m, right.to_vec()),
-            ]);
-            assert_eq!(merged, whole, "split at {split}");
-        }
     }
 
     #[test]

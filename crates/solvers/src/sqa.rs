@@ -42,8 +42,7 @@ impl Sqa {
         }
     }
 
-    /// Replaces the base seed (used by portfolio runners to diversify
-    /// otherwise-identical arms).
+    /// Replaces the base seed.
     pub fn with_seed(mut self, seed: u64) -> Sqa {
         self.seed = seed;
         self

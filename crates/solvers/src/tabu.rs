@@ -32,8 +32,7 @@ impl TabuSearch {
         }
     }
 
-    /// Replaces the base seed (used by portfolio runners to diversify
-    /// otherwise-identical arms).
+    /// Replaces the base seed.
     pub fn with_seed(mut self, seed: u64) -> TabuSearch {
         self.seed = seed;
         self

@@ -10,9 +10,9 @@
 //! `capacity` events, not a month of logs.
 //!
 //! Every event carries a **trace id** — a job-scoped correlation key set
-//! with [`TraceScope`] and propagated explicitly across thread spawns
-//! (engine workers, portfolio arms, restart races). When a job fails,
-//! retries, or times out, [`FlightRecorder::dump_jsonl`] extracts that
+//! with [`TraceScope`] where a job starts and propagated explicitly
+//! across thread spawns (the packed samplers' worker threads). When a
+//! job fails or misbehaves, [`FlightRecorder::dump_jsonl`] extracts that
 //! job's events from the ring as JSONL for post-mortem analysis, without
 //! re-running anything.
 //!
@@ -75,9 +75,8 @@ impl std::fmt::Display for TraceId {
     }
 }
 
-/// What happened. The set covers the events the ISSUE's post-mortems
-/// need: pipeline stage boundaries, embedding-cache traffic, restart-race
-/// and portfolio outcomes, sampler progress, and engine lifecycle.
+/// What happened: pipeline stage boundaries, embedding-cache traffic,
+/// sampler progress, and failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
     /// A pipeline stage started (`name` = stage name).
@@ -92,25 +91,9 @@ pub enum FlightKind {
     CacheHit,
     /// The embedding cache had to route (`name` as for `CacheHit`).
     CacheMiss,
-    /// The restart race picked a winner (`value` = winning try index).
-    RestartWin,
-    /// A portfolio arm produced the best merged energy (`value` = arm).
-    ArmWin,
     /// A sampler passed a progress milestone (`value` = reads done).
     SamplerMilestone,
-    /// A job was enqueued into the batch engine.
-    Enqueue,
-    /// A worker dequeued the job (`value` = queue wait in µs).
-    Dequeue,
-    /// The engine is retrying the job (`value` = attempt number).
-    Retry,
-    /// The job hit its wall-clock budget (`value` = attempts consumed).
-    Timeout,
-    /// The batch was cancelled before the job finished.
-    Cancel,
-    /// The job completed (`value` = attempts consumed).
-    JobDone,
-    /// Every attempt errored (`value` = attempts consumed).
+    /// A stage or a certificate check failed (`name` = what failed).
     JobFailed,
 }
 
@@ -123,15 +106,7 @@ impl FlightKind {
             FlightKind::StageSkip => "stage_skip",
             FlightKind::CacheHit => "cache_hit",
             FlightKind::CacheMiss => "cache_miss",
-            FlightKind::RestartWin => "restart_win",
-            FlightKind::ArmWin => "arm_win",
             FlightKind::SamplerMilestone => "sampler_milestone",
-            FlightKind::Enqueue => "enqueue",
-            FlightKind::Dequeue => "dequeue",
-            FlightKind::Retry => "retry",
-            FlightKind::Timeout => "timeout",
-            FlightKind::Cancel => "cancel",
-            FlightKind::JobDone => "job_done",
             FlightKind::JobFailed => "job_failed",
         }
     }
@@ -150,7 +125,7 @@ pub struct FlightEvent {
     pub kind: FlightKind,
     /// Subject — stage name, topology family, job label.
     pub name: String,
-    /// Kind-specific payload (duration µs, attempt, reads, try index).
+    /// Kind-specific payload (duration µs, artifact size, reads).
     pub value: f64,
 }
 
@@ -232,7 +207,7 @@ impl std::fmt::Debug for FlightRecorder {
 }
 
 /// Default ring capacity: enough for several jobs' worth of stage,
-/// cache, and engine events without ever exceeding ~1 MB resident.
+/// cache, and sampler events without ever exceeding ~1 MB resident.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
 impl Default for FlightRecorder {
@@ -286,7 +261,7 @@ impl FlightRecorder {
     }
 
     /// Records an event under an explicit trace id (for threads that
-    /// have not entered a [`TraceScope`], e.g. the engine's producer).
+    /// have not entered a [`TraceScope`], e.g. a sampler's workers).
     pub fn record_for(&self, trace: TraceId, kind: FlightKind, name: &str, value: f64) {
         if !self.is_enabled() {
             return;
@@ -355,8 +330,8 @@ impl FlightRecorder {
     }
 }
 
-/// The process-wide flight recorder the pipeline, cache, samplers, and
-/// batch engine all record into. Enabled from the first call on.
+/// The process-wide flight recorder the pipeline, cache, and samplers
+/// all record into. Enabled from the first call on.
 ///
 /// The ring holds [`DEFAULT_FLIGHT_CAPACITY`] events unless the
 /// `QAC_FLIGHT_CAPACITY` environment variable names a different size at
@@ -419,7 +394,7 @@ mod tests {
             let _s = TraceScope::enter(b);
             flight.record(FlightKind::StageBegin, "optimize", 0.0);
         }
-        flight.record(FlightKind::Enqueue, "untagged", 0.0);
+        flight.record(FlightKind::CacheHit, "untagged", 0.0);
         assert_eq!(flight.events().len(), 4);
         assert_eq!(flight.events_for(a).len(), 2);
         assert_eq!(flight.events_for(b).len(), 1);
@@ -449,8 +424,8 @@ mod tests {
         let trace = TraceId::fresh();
         {
             let _s = TraceScope::enter(trace);
-            flight.record(FlightKind::Dequeue, "job:x", 42.0);
-            flight.record(FlightKind::Timeout, "job:x", 3.0);
+            flight.record(FlightKind::StageEnd, "assemble", 42.0);
+            flight.record(FlightKind::JobFailed, "assemble", 0.0);
         }
         let dump = flight.dump_jsonl(trace);
         assert_eq!(dump.lines().count(), 2);
@@ -462,8 +437,8 @@ mod tests {
                 Some(trace.to_string().as_str())
             );
         }
-        assert!(dump.contains("\"timeout\""));
-        assert!(dump.contains("\"dequeue\""));
+        assert!(dump.contains("\"job_failed\""));
+        assert!(dump.contains("\"stage_end\""));
     }
 
     #[test]

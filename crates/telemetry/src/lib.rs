@@ -7,7 +7,7 @@
 //! paying off — without a debugger:
 //!
 //! * [`Recorder`] — hierarchical **spans** (compile → stage → sampler
-//!   sub-phase → portfolio arm) with parent/child IDs, recorded behind a
+//!   sub-phase) with parent/child IDs, recorded behind a
 //!   Mutex; disabled by default, one relaxed atomic load on the hot path;
 //! * [`Metrics`] — a registry of named **counters**, **gauges**, and
 //!   fixed-bucket **histograms** (cache hits/misses, route iterations,

@@ -3,8 +3,8 @@
 //!
 //! Metric names follow Prometheus conventions (`snake_case`, counters end
 //! in `_total`, units spelled out: `_us`, `_fraction`). A name may carry
-//! a label set in curly braces — `qac_portfolio_arm_wins_total{arm="2"}`
-//! — which the Prometheus exporter passes through verbatim while emitting
+//! a label set in curly braces —
+//! `qac_route_iterations_total{topology="chimera"}` — which the Prometheus exporter passes through verbatim while emitting
 //! `# HELP` / `# TYPE` once per base name.
 
 use std::collections::BTreeMap;

@@ -1,8 +1,7 @@
 //! Hierarchical spans and the recorder they land in.
 //!
 //! A span is one timed region of execution with a parent: the span that
-//! was open on the same thread when it began (or one passed explicitly
-//! for work that hops threads, e.g. portfolio arms). Spans are opened as
+//! was open on the same thread when it began. Spans are opened as
 //! RAII guards and recorded on drop, so the span tree always nests —
 //! a child's interval lies within its parent's.
 //!
@@ -130,15 +129,6 @@ impl Recorder {
         }
         let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
         self.open(name, parent)
-    }
-
-    /// Opens a span under an explicit parent — for work that crosses
-    /// threads (capture [`Recorder::current`] before spawning).
-    pub fn span_under(&self, name: &str, parent: Option<SpanId>) -> SpanGuard<'_> {
-        if !self.is_enabled() {
-            return SpanGuard::inert();
-        }
-        self.open(name, parent.map(|p| p.0))
     }
 
     fn open(&self, name: &str, parent: Option<u64>) -> SpanGuard<'_> {
@@ -371,27 +361,6 @@ mod tests {
             assert!(child.start_us >= outer.start_us);
             assert!(child.end_us() <= outer.end_us() + 1e-9);
         }
-    }
-
-    #[test]
-    fn span_under_carries_an_explicit_parent_across_threads() {
-        let recorder = Recorder::new();
-        recorder.enable();
-        let parent_id = {
-            let parent = recorder.span("parent");
-            let parent_id = parent.id();
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let _arm = recorder.span_under("arm:0", parent_id);
-                });
-            });
-            parent_id.unwrap()
-        };
-        let spans = recorder.spans();
-        let arm = spans.iter().find(|s| s.name == "arm:0").unwrap();
-        let parent = spans.iter().find(|s| s.name == "parent").unwrap();
-        assert_eq!(arm.parent, Some(parent_id.0));
-        assert_ne!(arm.track, parent.track, "arm ran on its own track");
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! * [`solvers`] — annealers and classical samplers;
 //! * [`csp`] — the classical constraint-solver baseline;
 //! * [`analysis`] — the multi-pass static analyzer and lint framework;
-//! * [`core`] — the end-to-end pipeline ([`core::compile`] / run);
-//! * [`engine`] — the deterministic concurrent batch-run engine.
+//! * [`core`] — the end-to-end pipeline ([`core::compile`] / run).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +28,6 @@ pub use qac_chimera as chimera;
 pub use qac_core as core;
 pub use qac_csp as csp;
 pub use qac_edif as edif;
-pub use qac_engine as engine;
 pub use qac_gatesynth as gatesynth;
 pub use qac_netlist as netlist;
 pub use qac_pbf as pbf;

@@ -3,15 +3,12 @@
 //! The paper's headline trick is running a circuit *backward*: pin the
 //! outputs, anneal, and read the inputs off the ground state (§5:
 //! factoring with a multiplier, CLRS circuit satisfiability). These
-//! tests drive that path through the batch engine and then hold every
+//! tests drive that path through `Compiled::run` and then hold every
 //! returned input assignment up against `CombSim` — an independent
 //! evaluation of the same netlist — so a decode bug cannot mark wrong
 //! factors "valid" unchallenged.
 
-use std::sync::Arc;
-
-use qac::core::{compile, CompileOptions, Compiled, RunOptions, SolverChoice};
-use qac::engine::{BatchEngine, EngineOptions, JobSpec};
+use qac::core::{compile, CompileOptions, Compiled, RunOptions, RunOutcome, SolverChoice};
 use qac::netlist::CombSim;
 
 const MULT: &str = r#"
@@ -42,37 +39,37 @@ const CIRCSAT: &str = r#"
     endmodule
 "#;
 
-fn compile_top(source: &str, top: &str) -> Arc<Compiled> {
-    Arc::new(compile(source, top, &CompileOptions::default()).unwrap())
+fn compile_top(source: &str, top: &str) -> Compiled {
+    compile(source, top, &CompileOptions::default()).unwrap()
 }
 
-/// An engine tuned for flaky stochastic jobs: reseed and retry until a
-/// valid execution decodes (each retry is deterministic in the attempt
-/// index, so the whole test is reproducible).
-fn retrying_engine() -> BatchEngine {
-    BatchEngine::new(EngineOptions {
-        workers: 2,
-        max_attempts: 5,
-        retry_until_valid: true,
-        ..Default::default()
-    })
+/// Runs `options` under up to five fixed seeds and returns the first
+/// outcome that decodes a valid execution (or the last one, for the
+/// caller's asserts to reject). Stochastic samplers can miss on one
+/// seed; the fixed seed list keeps the test reproducible.
+fn run_until_valid(program: &Compiled, options: &RunOptions) -> RunOutcome {
+    let mut outcome = None;
+    for seed in [1u64, 2, 3, 4, 5] {
+        let run = program.run(&options.clone().seed(seed)).unwrap();
+        if run.valid_fraction() > 0.0 {
+            return run;
+        }
+        outcome = Some(run);
+    }
+    outcome.expect("at least one seed ran")
 }
 
 #[test]
 fn multiplier_backward_recovers_factors_validated_by_simulation() {
     let program = compile_top(MULT, "mult");
     let sim = CombSim::new(&program.netlist).unwrap();
-    let results = retrying_engine().run_batch(vec![JobSpec::new(
-        Arc::clone(&program),
-        RunOptions::new()
+    let outcome = run_until_valid(
+        &program,
+        &RunOptions::new()
             .pin("C[7:0] := 143")
             .solver(SolverChoice::Tabu)
             .num_reads(30),
-        "factor:143",
-    )]);
-    let outcome = results[0]
-        .outcome()
-        .unwrap_or_else(|| panic!("{:?}", results[0].status));
+    );
     let factorizations: Vec<(u64, u64)> = outcome
         .valid_solutions()
         .map(|s| (s.get("A").unwrap(), s.get("B").unwrap()))
@@ -94,17 +91,13 @@ fn multiplier_backward_on_a_prime_square_pins_both_factors() {
     // both inputs completely.
     let program = compile_top(MULT, "mult");
     let sim = CombSim::new(&program.netlist).unwrap();
-    let results = retrying_engine().run_batch(vec![JobSpec::new(
-        Arc::clone(&program),
-        RunOptions::new()
+    let outcome = run_until_valid(
+        &program,
+        &RunOptions::new()
             .pin("C[7:0] := 49")
             .solver(SolverChoice::Tabu)
             .num_reads(30),
-        "factor:49",
-    )]);
-    let outcome = results[0]
-        .outcome()
-        .unwrap_or_else(|| panic!("{:?}", results[0].status));
+    );
     let mut saw_valid = false;
     for s in outcome.valid_solutions() {
         saw_valid = true;
@@ -119,16 +112,12 @@ fn multiplier_backward_on_a_prime_square_pins_both_factors() {
 fn circsat_backward_assignments_satisfy_the_netlist() {
     let program = compile_top(CIRCSAT, "circsat");
     let sim = CombSim::new(&program.netlist).unwrap();
-    let results = retrying_engine().run_batch(vec![JobSpec::new(
-        Arc::clone(&program),
-        RunOptions::new()
+    let outcome = run_until_valid(
+        &program,
+        &RunOptions::new()
             .pin("y := true")
             .solver(SolverChoice::Exact),
-        "circsat:y=1",
-    )]);
-    let outcome = results[0]
-        .outcome()
-        .unwrap_or_else(|| panic!("{:?}", results[0].status));
+    );
     let assignments: std::collections::BTreeSet<(u64, u64, u64)> = outcome
         .valid_solutions()
         .map(|s| {
@@ -149,63 +138,47 @@ fn circsat_backward_assignments_satisfy_the_netlist() {
 }
 
 #[test]
-fn mixed_reverse_batch_runs_concurrently_and_every_job_validates() {
-    // Both reverse problems as one concurrent batch: the engine's
-    // intended shape. Each job's solutions are validated against its own
-    // program's netlist.
+fn each_of_three_reverse_jobs_validates_against_its_netlist() {
+    // Both reverse problems, three jobs run one after another. Each
+    // job's solutions are validated against its own program's netlist.
     let mult = compile_top(MULT, "mult");
     let circsat = compile_top(CIRCSAT, "circsat");
-    let jobs = vec![
-        JobSpec::new(
-            Arc::clone(&mult),
-            RunOptions::new()
-                .pin("C[7:0] := 15")
-                .solver(SolverChoice::Tabu)
-                .num_reads(30),
-            "factor:15",
-        ),
-        JobSpec::new(
-            Arc::clone(&circsat),
+    let factor = |product: u64| {
+        RunOptions::new()
+            .pin(&format!("C[7:0] := {product}"))
+            .solver(SolverChoice::Tabu)
+            .num_reads(30)
+    };
+    let jobs = [
+        ("factor:15", &mult, factor(15), 15),
+        (
+            "circsat:y=1",
+            &circsat,
             RunOptions::new()
                 .pin("y := true")
                 .solver(SolverChoice::Exact),
-            "circsat:y=1",
+            0,
         ),
-        JobSpec::new(
-            Arc::clone(&mult),
-            RunOptions::new()
-                .pin("C[7:0] := 21")
-                .solver(SolverChoice::Tabu)
-                .num_reads(30),
-            "factor:21",
-        ),
+        ("factor:21", &mult, factor(21), 21),
     ];
-    let results = retrying_engine().run_batch(jobs);
-    assert_eq!(results.len(), 3);
-    for (result, (program, product)) in
-        results
-            .iter()
-            .zip([(&mult, 15), (&circsat, 0), (&mult, 21)])
-    {
-        let outcome = result
-            .outcome()
-            .unwrap_or_else(|| panic!("{}: {:?}", result.label, result.status));
+    for (label, program, options, product) in jobs {
+        let outcome = run_until_valid(program, &options);
         let sim = CombSim::new(&program.netlist).unwrap();
         let mut valid = 0usize;
         for s in outcome.valid_solutions() {
             valid += 1;
             if product > 0 {
                 let (a, b) = (s.get("A").unwrap(), s.get("B").unwrap());
-                assert_eq!(a * b, product, "{}", result.label);
+                assert_eq!(a * b, product, "{label}");
                 assert_eq!(sim.eval_words(&[("A", a), ("B", b)]).unwrap()["C"], product);
             } else {
-                let inputs: Vec<(&str, u64)> = [("a", "a"), ("b", "b"), ("c", "c")]
+                let inputs: Vec<(&str, u64)> = ["a", "b", "c"]
                     .iter()
-                    .map(|&(port, _)| (port, s.get(port).unwrap()))
+                    .map(|&port| (port, s.get(port).unwrap()))
                     .collect();
-                assert_eq!(sim.eval_words(&inputs).unwrap()["y"], 1, "{}", result.label);
+                assert_eq!(sim.eval_words(&inputs).unwrap()["y"], 1, "{label}");
             }
         }
-        assert!(valid > 0, "{}: no valid execution decoded", result.label);
+        assert!(valid > 0, "{label}: no valid execution decoded");
     }
 }
