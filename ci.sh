@@ -210,13 +210,10 @@ cargo run --release -q -p qac-bench --bin telemetry_check -- \
 cargo run --release -q -p qac-bench --bin experiments -- \
     certify verify "$tmpdir"/certs/*.cert.json
 
-echo "==> unsafe-code gate (#![forbid(unsafe_code)] in every crate but qac-alloc)"
-# qac-alloc is the one crate allowed unsafe (the arena's raw-pointer
-# internals); everything else must forbid it at the crate root so a
-# stray unsafe block is a compile error, not a review nit.
+echo "==> unsafe-code gate (#![forbid(unsafe_code)] in every crate)"
+# Every crate must forbid unsafe at the crate root so a stray unsafe
+# block is a compile error, not a review nit.
 for lib in crates/*/src/lib.rs; do
-    crate_dir="$(basename "$(dirname "$(dirname "$lib")")")"
-    [ "$crate_dir" = "alloc" ] && continue
     if ! grep -q '#!\[forbid(unsafe_code)\]' "$lib"; then
         echo "ERROR: $lib is missing #![forbid(unsafe_code)]" >&2
         exit 1

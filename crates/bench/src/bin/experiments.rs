@@ -35,14 +35,6 @@
 
 use qac_bench::experiments;
 
-// Linking the counting allocator is opt-in: `--features alloc-track`
-// pulls in qac-alloc, whose #[global_allocator] feeds the per-stage
-// alloc columns on StageTrace. The `use` forces the link; without it
-// Cargo would drop the otherwise-unreferenced crate and the allocator
-// would silently never install.
-#[cfg(feature = "alloc-track")]
-use qac_alloc as _;
-
 struct Cli {
     names: Vec<String>,
     trace_json: Option<String>,

@@ -55,9 +55,8 @@ pub fn run_sec6_1() {
     let repeats = 5usize;
     let mut combined = qac_core::Trace::new();
     for _ in 0..repeats {
-        for stage in compile_workload(AUSTRALIA, "australia").trace.stages() {
-            combined.record(stage.clone());
-        }
+        let trace = compile_workload(AUSTRALIA, "australia").trace;
+        combined.extend(trace.stages().iter().cloned());
     }
     println!("mean stage times over {repeats} repeated compilations:");
     println!("{:<14} {:>6} {:>12}", "stage", "runs", "mean time");

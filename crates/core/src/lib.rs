@@ -54,7 +54,6 @@ mod pipeline;
 mod qmasm_gen;
 mod run;
 mod stage;
-mod trace;
 
 pub use certify::{
     backend_obligation, certificate_diagnostics, model_terms,
@@ -66,13 +65,13 @@ pub use incr::{
     IncrementalReport, StageDisposition,
 };
 pub use pipeline::{compile, compile_netlist, CompileOptions, Compiled, PipelineStats};
+pub use qac_telemetry::{StageTrace, Trace};
 pub use qmasm_gen::netlist_to_qmasm;
 pub use run::{
     HardwareStats, PinRealization, QualityReport, RunOptions, RunOutcome, SolvedSample,
     SolverChoice,
 };
 pub use stage::{Session, Stage};
-pub use trace::{StageTrace, Trace};
 
 pub use qac_netlist::unroll::InitialState;
 

@@ -16,11 +16,11 @@ use qac_gatesynth::CellLibrary;
 use qac_netlist::unroll::{unroll, InitialState};
 use qac_netlist::{opt, Netlist, NetlistStats};
 use qac_qmasm::{assemble, parse, stdcell_qmasm, AssembleOptions, Assembled, MapIncludes, Program};
+use qac_telemetry::Trace;
 
 use crate::incr::{EntryKey, IncrState};
 use crate::qmasm_gen::netlist_to_qmasm;
 use crate::stage::{Session, Stage};
-use crate::trace::Trace;
 use crate::CompileError;
 
 /// Options controlling compilation.

@@ -11,12 +11,13 @@ use qac_pbf::{Ising, Spin};
 use qac_qmasm::pin::parse_pins;
 use qac_qmasm::Solution;
 use qac_solvers::{
-    BitParallelSa, DWaveSim, DWaveSimOptions, ExactSolver, ParallelTempering, PhaseTiming,
-    PopulationAnnealing, QbsolvStyle, SampleSet, Sampler, Sqa, TabuSearch,
+    BitParallelSa, DWaveSim, DWaveSimOptions, ExactSolver, ParallelTempering, PopulationAnnealing,
+    QbsolvStyle, SampleSet, Sampler, Sqa, TabuSearch,
 };
 
+use qac_telemetry::Trace;
+
 use crate::stage::{Session, Stage};
-use crate::trace::{StageTrace, Trace};
 use crate::{CompileError, Compiled};
 
 /// Which sampler executes the program.
@@ -338,9 +339,9 @@ impl Stage for PinStage<'_> {
 struct Sampled {
     set: SampleSet,
     hardware: Option<HardwareStats>,
-    /// Internal phases of the hardware model (empty for software
-    /// samplers).
-    phases: Vec<PhaseTiming>,
+    /// The hardware model's `sample:*` phase records (empty for
+    /// software samplers).
+    trace: Trace,
 }
 
 /// Draws samples from the pinned model with the chosen solver.
@@ -358,7 +359,7 @@ impl Stage for SampleStage<'_> {
     }
     fn run(&self, model: Ising) -> Result<Sampled, CompileError> {
         let mut hardware = None;
-        let mut phases = Vec::new();
+        let mut trace = Trace::new();
         let set = match self.solver {
             SolverChoice::Exact => ExactSolver::new().sample(&model, self.num_reads),
             SolverChoice::Sa { sweeps } => BitParallelSa::new(self.seed)
@@ -388,14 +389,14 @@ impl Stage for SampleStage<'_> {
                     chain_breaks: result.mean_chain_breaks,
                     time_us: result.estimated_time_us,
                 });
-                phases = result.phases;
+                trace = result.trace;
                 result.logical
             }
         };
         Ok(Sampled {
             set,
             hardware,
-            phases,
+            trace,
         })
     }
     fn input_size(&self, model: &Ising) -> usize {
@@ -405,7 +406,7 @@ impl Stage for SampleStage<'_> {
         sampled.set.total_reads()
     }
     fn retries(&self, sampled: &Sampled) -> usize {
-        sampled.phases.iter().map(|p| p.retries).sum()
+        sampled.trace.stages().iter().map(|s| s.retries).sum()
     }
 }
 
@@ -528,8 +529,8 @@ impl Compiled {
             (),
         )?;
 
-        // Sample, surfacing the hardware model's internal phases as
-        // sample:* sub-entries of the trace.
+        // Sample, then append the hardware model's sample:* phase
+        // records after the sample entry.
         let sampled = session.run(
             &SampleStage {
                 solver: &options.solver,
@@ -538,18 +539,7 @@ impl Compiled {
             },
             model,
         )?;
-        for phase in &sampled.phases {
-            session.record(StageTrace {
-                name: format!("sample:{}", phase.name),
-                duration: phase.duration,
-                input_size: 0,
-                output_size: 0,
-                retries: phase.retries,
-                alloc_bytes: 0,
-                alloc_peak_bytes: 0,
-                skipped: false,
-            });
-        }
+        session.append(&sampled.trace);
 
         // Decode.
         let samples = session.run(

@@ -1,18 +1,14 @@
 //! The stage abstraction the compile and run pipelines are built from.
 //!
 //! A [`Stage`] is one named transformation of a pipeline artifact; a
-//! [`Session`] executes stages in sequence and records a
-//! [`StageTrace`](crate::StageTrace) for each — wall time, artifact
-//! sizes, retries — into a [`Trace`](crate::Trace). The drivers in
-//! `pipeline.rs` and `run.rs` are plain sequences of `session.run(...)`
-//! calls, so what executed (and what it cost) is always observable on
-//! the result.
+//! [`Session`] executes stages in sequence and records each through
+//! [`Trace::try_stage`] — wall time, artifact sizes, retries, and the
+//! stage's span and flight events. The drivers in `pipeline.rs` and
+//! `run.rs` are plain sequences of `session.run(...)` calls, so what
+//! executed (and what it cost) is always observable on the result.
 
-use std::time::Instant;
+use qac_telemetry::Trace;
 
-use qac_telemetry::FlightKind;
-
-use crate::trace::{StageTrace, Trace};
 use crate::CompileError;
 
 /// One named pipeline transformation.
@@ -53,7 +49,7 @@ pub trait Stage {
     }
 }
 
-/// Executes [`Stage`]s and accumulates their [`StageTrace`]s.
+/// Executes [`Stage`]s and accumulates their [`StageTrace`](qac_telemetry::StageTrace)s.
 #[derive(Debug, Default)]
 pub struct Session {
     trace: Trace,
@@ -72,48 +68,12 @@ impl Session {
     /// session's trace only ever describes completed work.
     pub fn run<S: Stage>(&mut self, stage: &S, input: S::Input) -> Result<S::Output, CompileError> {
         let input_size = stage.input_size(&input);
-        let mut span = qac_telemetry::global().span(stage.name());
-        let flight = qac_telemetry::global_flight();
-        flight.record(FlightKind::StageBegin, stage.name(), input_size as f64);
-        let alloc_before = qac_telemetry::alloc::snapshot();
-        let start = Instant::now();
-        let output = match stage.run(input) {
-            Ok(output) => output,
-            Err(err) => {
-                // A failed stage records no StageTrace (the trace only
-                // describes completed work), but the flight recorder
-                // keeps the failure for the post-mortem: a StageBegin
-                // with no matching StageEnd marks the dying stage.
-                flight.record(FlightKind::JobFailed, stage.name(), 0.0);
-                return Err(err);
-            }
-        };
-        let duration = start.elapsed();
-        let alloc = alloc_before.delta_to(&qac_telemetry::alloc::snapshot());
-        flight.record(
-            FlightKind::StageEnd,
+        self.trace.try_stage(
             stage.name(),
-            duration.as_secs_f64() * 1e6,
-        );
-        let output_size = stage.output_size(&output);
-        let retries = stage.retries(&output);
-        span.arg("input_size", input_size as f64);
-        span.arg("output_size", output_size as f64);
-        span.arg("retries", retries as f64);
-        if alloc.allocated_bytes > 0 {
-            span.arg("alloc_bytes", alloc.allocated_bytes as f64);
-        }
-        self.trace.record(StageTrace {
-            name: stage.name().to_string(),
-            duration,
             input_size,
-            output_size,
-            retries,
-            alloc_bytes: alloc.allocated_bytes,
-            alloc_peak_bytes: alloc.peak_growth_bytes,
-            skipped: false,
-        });
-        Ok(output)
+            || stage.run(input),
+            |output| (stage.output_size(output), stage.retries(output)),
+        )
     }
 
     /// Records a stage the incremental compiler skipped: the entry key
@@ -122,28 +82,14 @@ impl Session {
     /// `stage_skip` flight event (tagged with the current trace id, if
     /// any) and bumps `qac_incr_stage_hit_total`.
     pub fn skip_named(&mut self, name: &str, output_size: usize) {
-        qac_telemetry::global_flight().record(FlightKind::StageSkip, name, output_size as f64);
+        self.trace.skip(name, output_size);
         qac_telemetry::global().counter_add("qac_incr_stage_hit_total", 1);
-        self.trace.record(StageTrace {
-            name: name.to_string(),
-            duration: std::time::Duration::ZERO,
-            input_size: 0,
-            output_size,
-            retries: 0,
-            alloc_bytes: 0,
-            alloc_peak_bytes: 0,
-            skipped: true,
-        });
     }
 
-    /// Records an externally-timed entry (sampler sub-phases).
-    pub fn record(&mut self, stage: StageTrace) {
-        self.trace.record(stage);
-    }
-
-    /// The trace so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    /// Appends records a sampler made of its own phases (the hardware
+    /// model's `sample:*` entries), after the stage that ran it.
+    pub fn append(&mut self, phases: &Trace) {
+        self.trace.extend(phases.stages().iter().cloned());
     }
 
     /// Consumes the session, yielding the finished trace.
@@ -187,9 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn session_times_and_measures_each_stage() {
+    fn session_times_and_measures_each_stage_and_skips_failed_ones() {
         let mut session = Session::new();
         let out = session.run(&Doubler, vec![1, 2, 3]).unwrap();
+        assert!(session.run(&Failing, ()).is_err());
         let out = session.run(&Doubler, out).unwrap();
         assert_eq!(out.len(), 12);
         let trace = session.finish();
@@ -198,12 +145,5 @@ mod tests {
         assert_eq!(trace.stages()[0].output_size, 6);
         assert_eq!(trace.stages()[1].input_size, 6);
         assert_eq!(trace.stages()[1].output_size, 12);
-    }
-
-    #[test]
-    fn failed_stages_leave_no_trace() {
-        let mut session = Session::new();
-        assert!(session.run(&Failing, ()).is_err());
-        assert!(session.trace().is_empty());
     }
 }

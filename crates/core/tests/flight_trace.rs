@@ -5,6 +5,7 @@
 //! binary records into the process-global ring while it runs
 //! (integration-test binaries are per-file).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use qac_core::{compile, CompileOptions, RunOptions, SolverChoice};
@@ -41,10 +42,10 @@ fn a_traced_job_dumps_its_own_flight_events() {
     // The caller mints the trace where the job starts.
     let trace = TraceId::fresh();
     assert!(!trace.is_none());
-    {
+    let outcome = {
         let _scope = TraceScope::enter(trace);
-        program.run(&options).unwrap();
-    }
+        program.run(&options).unwrap()
+    };
 
     // The dump is valid JSONL, every line is a flight event tagged with
     // this job's trace id.
@@ -55,6 +56,8 @@ fn a_traced_job_dumps_its_own_flight_events() {
         "dump must carry the trace token {token}:\n{dump}"
     );
     let mut kinds = std::collections::BTreeSet::new();
+    // stage name → the `stage_end` values (µs) recorded under it, in order.
+    let mut stage_ends: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     for (i, line) in dump.lines().enumerate() {
         let event = json::parse(line)
             .unwrap_or_else(|err| panic!("dump line {}: invalid JSON: {err}", i + 1));
@@ -70,14 +73,33 @@ fn a_traced_job_dumps_its_own_flight_events() {
             "line {}: foreign trace in a per-job dump",
             i + 1
         );
-        kinds.insert(
-            event
-                .get("kind")
-                .and_then(|k| k.as_str())
-                .expect("kind")
-                .to_string(),
-        );
+        let kind = event.get("kind").and_then(|k| k.as_str()).expect("kind");
+        if kind == "stage_end" {
+            let name = event.get("name").and_then(|n| n.as_str()).expect("name");
+            let value = event.get("value").and_then(|v| v.as_f64()).expect("value");
+            stage_ends.entry(name.to_string()).or_default().push(value);
+        }
+        kinds.insert(kind.to_string());
     }
+
+    // One record, three views: every stage — run stages and the hardware
+    // model's sample:* phases alike — has exactly one `stage_end` event
+    // per trace record, carrying that record's duration.
+    let mut records: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    for stage in outcome.trace.stages() {
+        records
+            .entry(stage.name.clone())
+            .or_default()
+            .push(stage.duration.as_secs_f64() * 1e6);
+    }
+    assert!(
+        records.contains_key("sample:embed"),
+        "the hardware phases are on the trace: {records:?}"
+    );
+    assert_eq!(
+        stage_ends, records,
+        "stage_end events (name → µs) must match the run's trace records"
+    );
 
     // Pipeline lifecycle: the run's stages ran to completion, and the
     // first embed missed the cache.

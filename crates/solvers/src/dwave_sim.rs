@@ -17,7 +17,6 @@
 //!    §6.2-style per-solution costs can be reported.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,6 +27,7 @@ use qac_chimera::{
 };
 use qac_pbf::scale::{quantize, scale_to_range, CoefficientRange};
 use qac_pbf::Ising;
+use qac_telemetry::Trace;
 
 use crate::chain_block::{ChainBlockModel, PackedReads};
 use crate::{Sample, SampleSet, Sampler};
@@ -142,18 +142,6 @@ impl DWaveSimOptions {
     }
 }
 
-/// Wall-clock of one internal phase of a simulated job ("scale",
-/// "embed", "distort", "anneal", "unembed").
-#[derive(Debug, Clone)]
-pub struct PhaseTiming {
-    /// Phase name.
-    pub name: &'static str,
-    /// Time spent in the phase.
-    pub duration: Duration,
-    /// Retries the phase needed (embedding restarts; 0 elsewhere).
-    pub retries: usize,
-}
-
 /// The result of one simulated hardware job.
 #[derive(Debug, Clone)]
 pub struct DWaveSimResult {
@@ -174,8 +162,10 @@ pub struct DWaveSimResult {
     /// Routing-work counters of the embedding step (all zero with
     /// `cache_hit` set when the embedding came from the cache).
     pub embed_stats: EmbedStats,
-    /// Measured wall-clock of each internal phase, in execution order.
-    pub phases: Vec<PhaseTiming>,
+    /// One record per internal phase, in execution order:
+    /// `sample:scale`, `sample:embed` (retries: embedding restarts),
+    /// `sample:distort`, `sample:anneal`, `sample:unembed`.
+    pub trace: Trace,
 }
 
 /// The simulated D-Wave annealer.
@@ -201,9 +191,6 @@ impl DWaveSim {
     /// Propagates [`EmbedError`] when the logical model does not fit the
     /// hardware graph.
     pub fn run(&self, logical: &Ising, num_reads: usize) -> Result<DWaveSimResult, EmbedError> {
-        // Spans mirror the PhaseTiming regions one-for-one: PhaseTiming
-        // stays the cheap always-on view (it rides on the result), the
-        // spans land in the global recorder when telemetry is enabled.
         let telemetry = qac_telemetry::global();
         let o = &self.options;
         let topology = o.topology_spec();
@@ -212,63 +199,63 @@ impl DWaveSim {
         } else {
             topology.graph()
         };
-
-        let mut phases: Vec<PhaseTiming> = Vec::with_capacity(5);
-        let mut phase_start = Instant::now();
-        let mut phase_done = |phases: &mut Vec<PhaseTiming>, name, retries| {
-            let now = Instant::now();
-            phases.push(PhaseTiming {
-                name,
-                duration: now - phase_start,
-                retries,
-            });
-            phase_start = now;
-        };
+        let mut trace = Trace::new();
 
         // 1. Scale the logical model into hardware range.
-        let scale_span = telemetry.span("sample:scale");
         let range = topology.coefficient_range();
-        let scaled = scale_to_range(logical, range);
-        drop(scale_span);
-        phase_done(&mut phases, "scale", 0);
+        let scaled = trace.stage(
+            "sample:scale",
+            logical.num_terms(1e-12),
+            || scale_to_range(logical, range),
+            |scaled| (scaled.model.num_terms(1e-12), 0),
+        );
 
         // 2. Embed — optionally through the shared cache.
-        let mut embed_span = telemetry.span("sample:embed");
-        let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-        let num_vars = scaled.model.num_vars();
-        let search = || {
-            find_embedding_or_clique_with_stats(&edges, num_vars, &topology, &hardware, &o.embed)
-        };
-        let (embedding, embed_stats) = match &o.embedding_cache {
-            Some(cache) => {
-                cache.get_or_embed_on(&topology, &edges, num_vars, &o.embed, &hardware, search)?
-            }
-            None => search()?,
-        };
-        embed_span.arg("route_iterations", embed_stats.route_iterations as f64);
-        embed_span.arg("restarts", embed_stats.restarts as f64);
-        embed_span.arg("cache_hit", f64::from(embed_stats.cache_hit));
-        drop(embed_span);
-        // Machine-independent routing-work counters: wall time drifts
-        // with the host, these only drift if the router actually does
-        // more work, so CI can put a hard budget on them. Each counter
-        // has an unlabeled aggregate and a `{topology="family"}` variant
-        // so budgets can be set per fabric.
-        embed_stats.export_topology_counters(topology.family());
-        phase_done(&mut phases, "embed", embed_stats.restarts);
+        let (embedding, embed_stats) = trace.try_stage(
+            "sample:embed",
+            scaled.model.num_vars(),
+            || {
+                let edges: Vec<(usize, usize)> =
+                    scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
+                let num_vars = scaled.model.num_vars();
+                let search = || {
+                    find_embedding_or_clique_with_stats(
+                        &edges, num_vars, &topology, &hardware, &o.embed,
+                    )
+                };
+                let (embedding, stats) = match &o.embedding_cache {
+                    Some(cache) => cache.get_or_embed_on(
+                        &topology, &edges, num_vars, &o.embed, &hardware, search,
+                    )?,
+                    None => search()?,
+                };
+                // Machine-independent routing-work counters: wall time
+                // drifts with the host, these only drift if the router
+                // actually does more work, so CI can put a hard budget
+                // on them. Each counter has an unlabeled aggregate and a
+                // `{topology="family"}` variant so budgets can be set per
+                // fabric.
+                stats.export_topology_counters(topology.family());
+                Ok((embedding, stats))
+            },
+            |(embedding, stats)| (embedding.num_physical_qubits(), stats.restarts),
+        )?;
 
-        let distort_span = telemetry.span("sample:distort");
-
-        let chain_strength = topology.chain_strength(o.chain_strength, scaled.model.max_abs_j());
-        let embedded = embed_ising(&scaled.model, &embedding, &hardware, chain_strength);
-
-        // Rescale after chains were added (chains may exceed J range).
-        let physical = scale_to_range(&embedded.physical, range).model;
-
-        // 3. Analog distortion: quantization plus Gaussian noise.
-        let distorted = distort(&physical, range, o);
-        drop(distort_span);
-        phase_done(&mut phases, "distort", 0);
+        // 3. Add chains, rescale (chains may exceed the J range), then
+        // apply the analog distortion: quantization plus Gaussian noise.
+        let (embedded, distorted) = trace.stage(
+            "sample:distort",
+            embedding.num_physical_qubits(),
+            || {
+                let chain_strength =
+                    topology.chain_strength(o.chain_strength, scaled.model.max_abs_j());
+                let embedded = embed_ising(&scaled.model, &embedding, &hardware, chain_strength);
+                let physical = scale_to_range(&embedded.physical, range).model;
+                let distorted = distort(&physical, range, o);
+                (embedded, distorted)
+            },
+            |(_, distorted)| (distorted.num_terms(1e-12), 0),
+        );
 
         // 4. Stochastic sampling. Plain single-flip annealing cannot cross
         // the energy barrier of a long intact chain (the physical device
@@ -276,74 +263,82 @@ impl DWaveSim {
         // chain-block flips with single-qubit flips: blocks provide the
         // logical dynamics, single-qubit moves let chains break the way
         // analog hardware does.
-        let mut anneal_span = telemetry.span("sample:anneal");
-        let (sweeps, seed) = (o.anneal_sweeps.max(1), o.seed ^ 0xa1_ea1);
-        anneal_span.arg("reads", num_reads as f64);
-        anneal_span.arg("sweeps", sweeps as f64);
-        let reads = match o.annealer {
-            PhysicalAnnealer::ChainBlock => {
-                ChainBlockModel::new(&distorted, &embedding).anneal(sweeps, seed, num_reads)
-            }
-            PhysicalAnnealer::BitParallel => {
-                let set = crate::BitParallelSa::new(seed)
-                    .with_sweeps(sweeps)
-                    .sample(&distorted, num_reads);
-                PackedReads::from_sample_set(&set, distorted.num_vars())
-            }
-        };
-        drop(anneal_span);
-        phase_done(&mut phases, "anneal", 0);
+        let reads = trace.stage(
+            "sample:anneal",
+            embedding.num_physical_qubits(),
+            || {
+                let (sweeps, seed) = (o.anneal_sweeps.max(1), o.seed ^ 0xa1_ea1);
+                match o.annealer {
+                    PhysicalAnnealer::ChainBlock => {
+                        ChainBlockModel::new(&distorted, &embedding).anneal(sweeps, seed, num_reads)
+                    }
+                    PhysicalAnnealer::BitParallel => {
+                        let set = crate::BitParallelSa::new(seed)
+                            .with_sweeps(sweeps)
+                            .sample(&distorted, num_reads);
+                        PackedReads::from_sample_set(&set, distorted.num_vars())
+                    }
+                }
+            },
+            |_| (num_reads, 0),
+        );
 
         // 5. Decode with majority vote; re-evaluate energies logically.
-        let unembed_span = telemetry.span("sample:unembed");
-        telemetry.register_histogram(
-            "qac_read_chain_break_fraction",
-            qac_telemetry::FRACTION_BUCKETS,
+        let (logical_set, mean_chain_breaks) = trace.stage(
+            "sample:unembed",
+            num_reads,
+            || {
+                telemetry.register_histogram(
+                    "qac_read_chain_break_fraction",
+                    qac_telemetry::FRACTION_BUCKETS,
+                );
+                let mut decoded: Vec<Sample> = Vec::new();
+                let mut breaks = 0.0;
+                let mut total_reads = 0usize;
+                for (read, occurrences) in reads.iter() {
+                    let (logical_spins, stats) =
+                        reads.unembed(read, &embedding, embedded.num_logical);
+                    breaks += stats.break_fraction() * occurrences as f64;
+                    total_reads += occurrences;
+                    let energy = logical.energy(&logical_spins);
+                    telemetry.observe_n("qac_read_energy", energy, occurrences as u64);
+                    // The quantile sketch answers "what was the p99 read
+                    // energy" without pre-chosen buckets; one observation
+                    // per distinct sample keeps it cheap (occurrences
+                    // collapse to one point — the histogram above remains
+                    // the occurrence-weighted view).
+                    telemetry.sketch_observe("qac_read_energy_quantiles", energy);
+                    telemetry.observe_n(
+                        "qac_read_chain_break_fraction",
+                        stats.break_fraction(),
+                        occurrences as u64,
+                    );
+                    decoded.push(Sample {
+                        spins: logical_spins,
+                        energy,
+                        occurrences,
+                    });
+                }
+                let mean_chain_breaks = if total_reads > 0 {
+                    breaks / total_reads as f64
+                } else {
+                    0.0
+                };
+                (SampleSet::from_samples(decoded), mean_chain_breaks)
+            },
+            |(set, _)| (set.len(), 0),
         );
-        let mut decoded: Vec<Sample> = Vec::new();
-        let mut breaks = 0.0;
-        let mut total_reads = 0usize;
-        for (read, occurrences) in reads.iter() {
-            let (logical_spins, stats) = reads.unembed(read, &embedding, embedded.num_logical);
-            breaks += stats.break_fraction() * occurrences as f64;
-            total_reads += occurrences;
-            let energy = logical.energy(&logical_spins);
-            telemetry.observe_n("qac_read_energy", energy, occurrences as u64);
-            // The quantile sketch answers "what was the p99 read energy"
-            // without pre-chosen buckets; one observation per distinct
-            // sample keeps it cheap (occurrences collapse to one point —
-            // the histogram above remains the occurrence-weighted view).
-            telemetry.sketch_observe("qac_read_energy_quantiles", energy);
-            telemetry.observe_n(
-                "qac_read_chain_break_fraction",
-                stats.break_fraction(),
-                occurrences as u64,
-            );
-            decoded.push(Sample {
-                spins: logical_spins,
-                energy,
-                occurrences,
-            });
-        }
-        let logical_set = SampleSet::from_samples(decoded);
-        let physical_terms = embedded.physical.num_terms(1e-12);
-        drop(unembed_span);
-        phase_done(&mut phases, "unembed", 0);
 
         Ok(DWaveSimResult {
             logical: logical_set,
-            mean_chain_breaks: if total_reads > 0 {
-                breaks / total_reads as f64
-            } else {
-                0.0
-            },
+            mean_chain_breaks,
             embedding,
             physical_qubits: embedded.embedding.num_physical_qubits(),
-            physical_terms,
+            physical_terms: embedded.physical.num_terms(1e-12),
             scale: scaled.scale,
             estimated_time_us: o.timing.total_us(num_reads),
             embed_stats,
-            phases,
+            trace,
         })
     }
 }
@@ -532,16 +527,33 @@ mod tests {
     }
 
     #[test]
-    fn phases_cover_the_whole_job() {
+    fn trace_records_the_five_phases() {
         let mut m = Ising::new(3);
         m.add_j(0, 1, -1.0);
         m.add_j(1, 2, -1.0);
         let result = DWaveSim::new(small_options()).run(&m, 10).unwrap();
-        let names: Vec<&str> = result.phases.iter().map(|p| p.name).collect();
-        assert_eq!(names, ["scale", "embed", "distort", "anneal", "unembed"]);
+        let names: Vec<&str> = result
+            .trace
+            .stages()
+            .iter()
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "sample:scale",
+                "sample:embed",
+                "sample:distort",
+                "sample:anneal",
+                "sample:unembed"
+            ]
+        );
         assert!(result.embed_stats.restarts >= 1);
         assert!(!result.embed_stats.cache_hit);
-        assert_eq!(result.phases[1].retries, result.embed_stats.restarts);
+        let embed = result.trace.get("sample:embed").unwrap();
+        assert_eq!(embed.retries, result.embed_stats.restarts);
+        assert_eq!(embed.input_size, 3, "logical variables in");
+        assert_eq!(embed.output_size, result.physical_qubits, "qubits out");
     }
 
     #[test]

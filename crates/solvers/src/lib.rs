@@ -58,9 +58,7 @@ mod sample;
 mod sqa;
 mod tabu;
 
-pub use dwave_sim::{
-    DWaveSim, DWaveSimOptions, DWaveSimResult, PhaseTiming, PhysicalAnnealer, TimingModel,
-};
+pub use dwave_sim::{DWaveSim, DWaveSimOptions, DWaveSimResult, PhysicalAnnealer, TimingModel};
 // Re-exported so DWaveSimOptions call sites can name a fabric without
 // depending on qac-chimera directly.
 pub use exact::ExactSolver;

@@ -495,12 +495,6 @@ impl BitParallelSa {
         }
     }
 
-    /// Replaces the base seed.
-    pub fn with_seed(mut self, seed: u64) -> BitParallelSa {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the number of full-model sweeps per read.
     ///
     /// Clamped to at least 1: zero sweeps would return unannealed
@@ -756,12 +750,6 @@ impl ParallelTempering {
             beta_range: None,
             threads: 4,
         }
-    }
-
-    /// Replaces the base seed.
-    pub fn with_seed(mut self, seed: u64) -> ParallelTempering {
-        self.seed = seed;
-        self
     }
 
     /// Sets the number of sweeps (clamped ≥ 1).
@@ -1023,12 +1011,6 @@ impl PopulationAnnealing {
             beta_range: None,
             threads: 4,
         }
-    }
-
-    /// Replaces the base seed.
-    pub fn with_seed(mut self, seed: u64) -> PopulationAnnealing {
-        self.seed = seed;
-        self
     }
 
     /// Sets the number of sweeps (clamped ≥ 1).
@@ -1445,31 +1427,5 @@ mod tests {
             }
             assert!(seen.insert(pa_resample_seed(base)), "resample at {base:#x}");
         }
-    }
-
-    #[test]
-    fn with_seed_matches_fresh_construction() {
-        let m = random_model(13, 10);
-        assert_eq!(
-            BitParallelSa::new(1)
-                .with_seed(2)
-                .with_sweeps(20)
-                .sample(&m, 10),
-            BitParallelSa::new(2).with_sweeps(20).sample(&m, 10),
-        );
-        assert_eq!(
-            ParallelTempering::new(1)
-                .with_seed(2)
-                .with_sweeps(20)
-                .sample(&m, 6),
-            ParallelTempering::new(2).with_sweeps(20).sample(&m, 6),
-        );
-        assert_eq!(
-            PopulationAnnealing::new(1)
-                .with_seed(2)
-                .with_sweeps(20)
-                .sample(&m, 10),
-            PopulationAnnealing::new(2).with_sweeps(20).sample(&m, 10),
-        );
     }
 }

@@ -36,12 +36,6 @@ impl QbsolvStyle {
         }
     }
 
-    /// Replaces the base seed.
-    pub fn with_seed(mut self, seed: u64) -> QbsolvStyle {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the subproblem size (the "hardware capacity").
     ///
     /// Clamped to at least 2: a 1-variable subproblem cannot carry any

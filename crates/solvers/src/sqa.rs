@@ -42,12 +42,6 @@ impl Sqa {
         }
     }
 
-    /// Replaces the base seed.
-    pub fn with_seed(mut self, seed: u64) -> Sqa {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the number of Trotter slices.
     ///
     /// Clamped to at least 2: the Suzuki–Trotter inter-slice coupling is

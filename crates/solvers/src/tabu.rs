@@ -32,12 +32,6 @@ impl TabuSearch {
         }
     }
 
-    /// Replaces the base seed.
-    pub fn with_seed(mut self, seed: u64) -> TabuSearch {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the tabu tenure.
     ///
     /// Clamped to at least 1: a tenure of 0 would let the search flip the
@@ -303,24 +297,24 @@ mod tests {
 
     #[test]
     fn delta_table_matches_full_rescan_with_custom_tenure_and_steps() {
-        let configs = [
-            ("tenure 1", TabuSearch::new(0).with_tenure(1)),
-            ("tenure 0", TabuSearch::new(0).with_tenure(0)),
-            ("tenure 2", TabuSearch::new(0).with_tenure(2)),
-            ("tenure 3", TabuSearch::new(0).with_tenure(3)),
-            ("tenure 64", TabuSearch::new(0).with_tenure(64)),
-            ("steps 1", TabuSearch::new(0).with_steps(1)),
-            ("steps 0", TabuSearch::new(0).with_steps(0)),
-            ("steps 37", TabuSearch::new(0).with_steps(37)),
-            (
-                "tenure 1 steps 500",
-                TabuSearch::new(0).with_tenure(1).with_steps(500),
-            ),
+        type Build = fn(u64) -> TabuSearch;
+        let configs: [(&str, Build); 9] = [
+            ("tenure 1", |seed| TabuSearch::new(seed).with_tenure(1)),
+            ("tenure 0", |seed| TabuSearch::new(seed).with_tenure(0)),
+            ("tenure 2", |seed| TabuSearch::new(seed).with_tenure(2)),
+            ("tenure 3", |seed| TabuSearch::new(seed).with_tenure(3)),
+            ("tenure 64", |seed| TabuSearch::new(seed).with_tenure(64)),
+            ("steps 1", |seed| TabuSearch::new(seed).with_steps(1)),
+            ("steps 0", |seed| TabuSearch::new(seed).with_steps(0)),
+            ("steps 37", |seed| TabuSearch::new(seed).with_steps(37)),
+            ("tenure 1 steps 500", |seed| {
+                TabuSearch::new(seed).with_tenure(1).with_steps(500)
+            }),
         ];
         for seed in 0..20u64 {
             let m = sparse_model(100 + seed, 8 + seed as usize, 2.5);
-            for (name, tabu) in &configs {
-                let tabu = tabu.clone().with_seed(seed * 31);
+            for (name, build) in configs {
+                let tabu = build(seed * 31);
                 assert_matches_reference(&tabu, &m, &format!("{name}, model {seed}"));
             }
         }

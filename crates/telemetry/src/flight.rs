@@ -186,7 +186,7 @@ impl Drop for TraceScope {
 /// Writers reserve a slot with one wait-free `fetch_add` on the global
 /// cursor and publish under that slot's own mutex — two writers only
 /// ever contend when the ring has wrapped far enough for them to land on
-/// the same slot, and the critical section is a single move. Readers
+/// the same slot, and the critical section is a short copy. Readers
 /// lock slots one at a time, so a dump never stalls the writers for more
 /// than one slot.
 pub struct FlightRecorder {
@@ -267,23 +267,30 @@ impl FlightRecorder {
             return;
         }
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let event = FlightEvent {
-            seq,
-            at_us: self.epoch.elapsed().as_secs_f64() * 1e6,
-            trace,
-            kind,
-            name: name.to_string(),
-            value,
-        };
+        let at_us = self.epoch.elapsed().as_secs_f64() * 1e6;
         let slot = (seq % self.slots.len() as u64) as usize;
         // Last-writer-wins on wraparound: a newer event may already sit
         // here if the ring lapped us between reserve and publish; keep
         // whichever has the larger seq so the ring converges on the
         // newest events.
         let mut guard = self.slots[slot].lock().unwrap_or_else(|p| p.into_inner());
-        if guard.as_ref().is_none_or(|held| held.seq < seq) {
-            *guard = Some(event);
+        if guard.as_ref().is_some_and(|held| held.seq > seq) {
+            return;
         }
+        // Reuse the evicted event's name buffer: a wrapped ring then
+        // records without allocating, so a long run's heap is not
+        // fragmented by a stream of short-lived names.
+        let mut buffer = guard.take().map(|held| held.name).unwrap_or_default();
+        buffer.clear();
+        buffer.push_str(name);
+        *guard = Some(FlightEvent {
+            seq,
+            at_us,
+            trace,
+            kind,
+            name: buffer,
+            value,
+        });
     }
 
     /// Every resident event, oldest first.
@@ -408,13 +415,18 @@ mod tests {
         let flight = FlightRecorder::with_capacity(4);
         let trace = TraceId::fresh();
         let _s = TraceScope::enter(trace);
+        // Names of two lengths, so evicting a slot in place must replace
+        // a long name with a short one and back.
+        let names = ["sample:unembed", "sa"];
         for i in 0..10 {
-            flight.record(FlightKind::SamplerMilestone, "sa", i as f64);
+            flight.record(FlightKind::SamplerMilestone, names[i % 2], i as f64);
         }
         let events = flight.events_for(trace);
         assert_eq!(events.len(), 4, "ring holds exactly its capacity");
         let values: Vec<f64> = events.iter().map(|e| e.value).collect();
         assert_eq!(values, [6.0, 7.0, 8.0, 9.0], "oldest evicted first");
+        let resident: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(resident, [names[0], names[1], names[0], names[1]]);
         assert_eq!(flight.recorded(), 10);
     }
 

@@ -1,11 +1,15 @@
 //! Observability for the QAC pipeline.
 //!
-//! The compile and run pipelines answer "what executed" through the
-//! always-on `Trace` table in `qac-core`; this crate answers the deeper
-//! questions — *where* did time go across nested
-//! sampler phases, how often do chains break, is the embedding cache
-//! paying off — without a debugger:
+//! Every pipeline stage and hardware-model phase is recorded once, by
+//! [`Trace::try_stage`], and that one record has three views: the
+//! always-on [`Trace`] table that rides on compile and run results, the
+//! stage's span, and its flight events. Beyond "what executed" this
+//! crate answers the deeper questions — *where* did time go across
+//! nested sampler phases, how often do chains break, is the embedding
+//! cache paying off — without a debugger:
 //!
+//! * [`trace`] — the per-stage [`StageTrace`] records and the one
+//!   function that writes them;
 //! * [`Recorder`] — hierarchical **spans** (compile → stage → sampler
 //!   sub-phase) with parent/child IDs, recorded behind a
 //!   Mutex; disabled by default, one relaxed atomic load on the hot path;
@@ -20,10 +24,7 @@
 //!   structured events tagged with job-scoped trace ids, dumpable as
 //!   JSONL for post-mortems without re-running;
 //! * [`sketch`] — streaming, mergeable **quantile sketches** (p50 / p90
-//!   / p99) alongside the fixed-bucket histograms;
-//! * [`alloc`] — allocation-accounting hooks fed by the optional
-//!   `qac-alloc` counting allocator (per-stage alloc bytes on
-//!   `StageTrace`).
+//!   / p99) alongside the fixed-bucket histograms.
 //!
 //! Instrumented code uses the process-wide [`global()`] recorder so no
 //! API has to thread a handle through every layer; tests construct their
@@ -52,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod export;
 pub mod flight;
 pub mod json;
@@ -60,6 +60,7 @@ pub mod metrics;
 pub mod quality;
 pub mod sketch;
 mod span;
+pub mod trace;
 
 pub use export::Snapshot;
 pub use flight::{
@@ -67,4 +68,5 @@ pub use flight::{
 };
 pub use metrics::{Histogram, Metrics, DEFAULT_ENERGY_BUCKETS, FRACTION_BUCKETS};
 pub use sketch::QuantileSketch;
-pub use span::{global, Recorder, SpanGuard, SpanId, SpanRecord};
+pub use span::{global, Recorder, SpanGuard, SpanRecord};
+pub use trace::{StageTrace, Trace};

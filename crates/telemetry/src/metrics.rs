@@ -177,15 +177,6 @@ impl Metrics {
             .observe(value);
     }
 
-    /// Merges a locally-built sketch into the registry's sketch of the
-    /// same name (per-worker sketches roll up into one).
-    pub fn sketch_merge(&self, name: &str, other: &QuantileSketch) {
-        lock(&self.sketches)
-            .entry(name.to_string())
-            .or_default()
-            .merge(other);
-    }
-
     /// A copy of a quantile sketch's current state.
     pub fn sketch(&self, name: &str) -> Option<QuantileSketch> {
         lock(&self.sketches).get(name).cloned()
@@ -393,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn sketches_register_merge_and_snapshot() {
+    fn sketches_register_and_snapshot() {
         let m = Metrics::new();
         assert_eq!(m.sketch("missing"), None);
         for i in 0..100 {
@@ -401,12 +392,7 @@ mod tests {
         }
         let sketch = m.sketch("wait_us").unwrap();
         assert_eq!(sketch.count(), 100);
-        let mut other = crate::sketch::QuantileSketch::new();
-        other.observe(1e6);
-        m.sketch_merge("wait_us", &other);
-        let merged = m.sketch("wait_us").unwrap();
-        assert_eq!(merged.count(), 101);
-        assert_eq!(merged.max(), Some(1e6));
+        assert_eq!(sketch.max(), Some(99.0));
         let s = m.snapshot();
         assert_eq!(s.sketches.len(), 1);
         assert_eq!(s.sketches[0].0, "wait_us");

@@ -17,10 +17,6 @@ use std::time::{Duration, Instant};
 use crate::export::Snapshot;
 use crate::metrics::Metrics;
 
-/// Identifier of a span, unique within one [`Recorder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(pub u64);
-
 /// One finished span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
@@ -144,15 +140,6 @@ impl Recorder {
         }
     }
 
-    /// The innermost span currently open on this thread (`None` while
-    /// disabled or outside any span).
-    pub fn current(&self) -> Option<SpanId> {
-        if !self.is_enabled() {
-            return None;
-        }
-        SPAN_STACK.with(|s| s.borrow().last().copied().map(SpanId))
-    }
-
     /// All finished spans, in completion order.
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.lock_spans().clone()
@@ -205,14 +192,6 @@ impl Recorder {
     pub fn sketch_observe(&self, name: &str, value: f64) {
         if self.is_enabled() {
             self.metrics.sketch_observe(name, value);
-        }
-    }
-
-    /// Merges a locally-built sketch into the named registry sketch
-    /// (no-op while disabled).
-    pub fn sketch_merge(&self, name: &str, other: &crate::sketch::QuantileSketch) {
-        if self.is_enabled() {
-            self.metrics.sketch_merge(name, other);
         }
     }
 
@@ -272,11 +251,6 @@ impl SpanGuard<'_> {
         self.recorder.is_some()
     }
 
-    /// This span's id (`None` for inert guards).
-    pub fn id(&self) -> Option<SpanId> {
-        self.recorder.map(|_| SpanId(self.id))
-    }
-
     /// Attaches a numeric attribute (artifact size, retry count, …).
     pub fn arg(&mut self, name: &str, value: f64) {
         if self.recorder.is_some() {
@@ -319,7 +293,6 @@ mod tests {
         {
             let mut span = recorder.span("ignored");
             assert!(!span.is_active());
-            assert!(span.id().is_none());
             span.arg("size", 1.0);
             recorder.counter_add("c", 1);
             recorder.gauge_set("g", 1.0);
@@ -337,9 +310,7 @@ mod tests {
         let recorder = Recorder::new();
         recorder.enable();
         {
-            let outer = recorder.span("outer");
-            let outer_id = outer.id().unwrap();
-            assert_eq!(recorder.current(), Some(outer_id));
+            let _outer = recorder.span("outer");
             {
                 let mut inner = recorder.span("inner");
                 inner.arg("size", 3.0);
