@@ -220,6 +220,16 @@ for lib in crates/*/src/lib.rs; do
     fi
 done
 
+echo "==> rustdoc gate (cargo doc --no-deps, warnings denied)"
+# A doc link to a renamed, deleted or private item is a rustdoc warning;
+# deny it for the root package and every crates/* package (the vendor/
+# stand-ins are left out).
+doc_packages=(-p qac)
+for manifest in crates/*/Cargo.toml; do
+    doc_packages+=(-p "$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${doc_packages[@]}"
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

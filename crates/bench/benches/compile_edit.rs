@@ -6,15 +6,30 @@
 //! floors.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qac_bench::experiments::{canonical_gate_edit, embed_for_edit};
+use qac_bench::experiments::canonical_gate_edit;
 use qac_bench::{compile_workload, AUSTRALIA, FIGURE2};
-use qac_chimera::{Chimera, EmbeddingCache};
-use qac_core::{compile_netlist, compile_netlist_incremental, CompileOptions};
+use qac_chimera::{embed, Chimera, EmbedOptions, EmbeddingCache};
+use qac_core::{compile_netlist, compile_netlist_incremental, CompileOptions, Compiled};
 
 fn bench_compile_edit(c: &mut Criterion) {
     let options = CompileOptions::default();
     let chimera = Chimera::dwave_2000q();
     let hardware = chimera.graph();
+    // Seed 11, as in the `edit` experiment.
+    let embed_options = EmbedOptions {
+        seed: 11,
+        ..Default::default()
+    };
+    let embed_on_2000q = |compiled: &Compiled, cache: Option<&EmbeddingCache>| {
+        embed(
+            &compiled.assembled.ising,
+            &chimera,
+            &hardware,
+            &embed_options,
+            cache,
+        )
+        .expect("edit workloads embed on a 2000Q")
+    };
     for (name, source, top) in [
         ("figure2", FIGURE2, "circuit"),
         ("australia", AUSTRALIA, "australia"),
@@ -24,20 +39,20 @@ fn bench_compile_edit(c: &mut Criterion) {
         let base = compile_workload(source, top).netlist;
         let prev = compile_netlist(base.clone(), &options).unwrap();
         let cache = EmbeddingCache::new();
-        embed_for_edit(&prev, &chimera, &hardware, Some(&cache));
+        embed_on_2000q(&prev, Some(&cache));
         let (edited, _) = canonical_gate_edit(&base);
 
         c.bench_function(&format!("compile_edit_cold_{name}"), |b| {
             b.iter(|| {
                 let cold = compile_netlist(edited.clone(), &options).unwrap();
-                std::hint::black_box(embed_for_edit(&cold, &chimera, &hardware, None))
+                std::hint::black_box(embed_on_2000q(&cold, None))
             })
         });
         c.bench_function(&format!("compile_edit_incremental_{name}"), |b| {
             b.iter(|| {
                 let (warm, _) =
                     compile_netlist_incremental(&prev, edited.clone(), &options).unwrap();
-                std::hint::black_box(embed_for_edit(&warm, &chimera, &hardware, Some(&cache)))
+                std::hint::black_box(embed_on_2000q(&warm, Some(&cache)))
             })
         });
     }

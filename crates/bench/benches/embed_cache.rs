@@ -3,16 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qac_bench::{compile_workload, AUSTRALIA};
-use qac_chimera::{
-    embedding_key, find_embedding_with_stats, Chimera, EmbedOptions, EmbeddingCache,
-};
-use qac_pbf::scale::{scale_to_range, CoefficientRange};
+use qac_chimera::{embed, embedding_key, Chimera, EmbedOptions, EmbeddingCache};
 
 fn bench_embed_cache(c: &mut Criterion) {
     let compiled = compile_workload(AUSTRALIA, "australia");
-    let scaled = scale_to_range(&compiled.assembled.ising, CoefficientRange::DWAVE_2000Q);
-    let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-    let num_vars = scaled.model.num_vars();
+    let logical = &compiled.assembled.ising;
     let chimera = Chimera::dwave_2000q();
     let hardware = chimera.graph();
     let options = EmbedOptions::default();
@@ -20,31 +15,24 @@ fn bench_embed_cache(c: &mut Criterion) {
     c.bench_function("embed_australia_cold", |b| {
         b.iter(|| {
             std::hint::black_box(
-                find_embedding_with_stats(&edges, num_vars, &hardware, &options).expect("embeds"),
+                embed(logical, &chimera, &hardware, &options, None).expect("embeds"),
             )
         })
     });
 
     let cache = EmbeddingCache::new();
-    cache
-        .get_or_embed(&edges, num_vars, &options, &hardware, || {
-            find_embedding_with_stats(&edges, num_vars, &hardware, &options)
-        })
-        .expect("embeds");
+    embed(logical, &chimera, &hardware, &options, Some(&cache)).expect("embeds");
     c.bench_function("embed_australia_warm_cache", |b| {
         b.iter(|| {
-            std::hint::black_box(
-                cache
-                    .get_or_embed(&edges, num_vars, &options, &hardware, || {
-                        unreachable!("warm lookup must hit")
-                    })
-                    .expect("hits"),
-            )
+            let (embedding, stats) =
+                embed(logical, &chimera, &hardware, &options, Some(&cache)).expect("hits");
+            assert!(stats.cache_hit, "warm lookup must hit");
+            std::hint::black_box(embedding)
         })
     });
 
     c.bench_function("embedding_key_australia", |b| {
-        b.iter(|| std::hint::black_box(embedding_key(&edges, num_vars, &options, &hardware)))
+        b.iter(|| std::hint::black_box(embedding_key(logical, &chimera, &hardware, &options)))
     });
 }
 

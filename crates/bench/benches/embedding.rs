@@ -2,14 +2,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qac_bench::{compile_workload, AUSTRALIA};
-use qac_chimera::{embed_ising, find_embedding_or_clique, Chimera, EmbedOptions};
-use qac_pbf::scale::{scale_to_range, CoefficientRange};
+use qac_chimera::{embed, embed_ising, Chimera, EmbedOptions};
 
 fn bench_embedding(c: &mut Criterion) {
     let compiled = compile_workload(AUSTRALIA, "australia");
-    let scaled = scale_to_range(&compiled.assembled.ising, CoefficientRange::DWAVE_2000Q);
-    let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-    let num_vars = scaled.model.num_vars();
+    let logical = &compiled.assembled.ising;
     let chimera = Chimera::dwave_2000q();
     let hardware = chimera.graph();
 
@@ -22,22 +19,15 @@ fn bench_embedding(c: &mut Criterion) {
                 ..Default::default()
             };
             std::hint::black_box(
-                find_embedding_or_clique(&edges, num_vars, &chimera, &hardware, &options)
-                    .expect("embeds"),
+                embed(logical, &chimera, &hardware, &options, None).expect("embeds"),
             )
         })
     });
 
-    let embedding = find_embedding_or_clique(
-        &edges,
-        num_vars,
-        &chimera,
-        &hardware,
-        &EmbedOptions::default(),
-    )
-    .unwrap();
+    let (embedding, _) =
+        embed(logical, &chimera, &hardware, &EmbedOptions::default(), None).unwrap();
     c.bench_function("apply_embedding_australia", |b| {
-        b.iter(|| std::hint::black_box(embed_ising(&scaled.model, &embedding, &hardware, 2.0)))
+        b.iter(|| std::hint::black_box(embed_ising(logical, &embedding, &hardware, 2.0)))
     });
 
     c.bench_function("clique_template_k64", |b| {

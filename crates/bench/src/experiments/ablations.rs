@@ -3,10 +3,9 @@
 
 use std::sync::Arc;
 
-use qac_chimera::{find_embedding_or_clique, Chimera, EmbedOptions, EmbeddingCache};
+use qac_chimera::{embed, Chimera, EmbedOptions, EmbeddingCache};
 use qac_core::{compile, CompileOptions};
 use qac_pbf::roof::apply_roof_duality;
-use qac_pbf::scale::{scale_to_range, CoefficientRange};
 use qac_pbf::Ising;
 use qac_qmasm::PinStyle;
 use qac_solvers::{DWaveSim, DWaveSimOptions};
@@ -204,25 +203,19 @@ pub fn run_ablation_opt() {
                 ..Default::default()
             };
             let compiled = compile(source, top, &options).expect("compiles");
-            let scaled = scale_to_range(&compiled.assembled.ising, CoefficientRange::DWAVE_2000Q);
-            let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-            let qubits = if scaled.model.num_vars() > 200 {
+            let logical = &compiled.assembled.ising;
+            let qubits = if logical.num_vars() > 200 {
                 // Unoptimized multiplier-sized models take minutes to
                 // embed; the cell/variable columns already show the story.
                 "(skipped)".to_string()
             } else {
-                find_embedding_or_clique(
-                    &edges,
-                    scaled.model.num_vars(),
-                    &chimera,
-                    &hardware,
-                    &EmbedOptions {
-                        seed: 7,
-                        ..Default::default()
-                    },
-                )
-                .map(|e| e.num_physical_qubits().to_string())
-                .unwrap_or_else(|_| "n/a".to_string())
+                let options = EmbedOptions {
+                    seed: 7,
+                    ..Default::default()
+                };
+                embed(logical, &chimera, &hardware, &options, None)
+                    .map(|(e, _)| e.num_physical_qubits().to_string())
+                    .unwrap_or_else(|_| "n/a".to_string())
             };
             println!(
                 "{:<12} {:>6} {:>12} {:>14} {:>16}",

@@ -17,9 +17,7 @@
 //! the deterministic `qac-cert-v1` rendering, ready for offline
 //! re-checking.
 
-use qac_chimera::{
-    chain_strength_bound, embed_ising, find_embedding_or_clique, Chimera, EmbedOptions,
-};
+use qac_chimera::{chain_strength_bound, embed_ising, Chimera, EmbedOptions};
 use qac_core::{backend_obligation, compile, CompileOptions};
 
 use crate::{AUSTRALIA, CIRCSAT, COUNTER, FIGURE2, MULT};
@@ -96,18 +94,12 @@ pub fn certify_workload(
     let chimera = Chimera::dwave_2000q();
     let hardware = chimera.graph();
     let logical = &compiled.assembled.ising;
-    let edges: Vec<(usize, usize)> = logical.j_iter().map(|t| (t.i, t.j)).collect();
-    let embedding = find_embedding_or_clique(
-        &edges,
-        logical.num_vars(),
-        &chimera,
-        &hardware,
-        &EmbedOptions {
-            seed: 11,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("workload `{top}` failed to embed: {e}"));
+    let options = EmbedOptions {
+        seed: 11,
+        ..Default::default()
+    };
+    let (embedding, _) = qac_chimera::embed(logical, &chimera, &hardware, &options, None)
+        .unwrap_or_else(|e| panic!("workload `{top}` failed to embed: {e}"));
     // The programmed chain strength must dominate the QAC03x
     // neighborhood-weight bound for the certificate's sufficiency check,
     // and by convention at least 2·max|J| and 1.0.

@@ -21,16 +21,12 @@
 
 use std::time::Instant;
 
-use qac_chimera::{
-    find_embedding_with_stats, CacheStats, Chimera, EmbedOptions, Embedding, EmbeddingCache,
-    HardwareGraph,
-};
+use qac_chimera::{embed, CacheStats, Chimera, EmbedOptions, EmbeddingCache};
 use qac_core::{
     artifact_mismatch, compile_netlist, compile_netlist_incremental, CompileOptions, Compiled,
     IncrementalReport,
 };
 use qac_netlist::{CellKind, Netlist};
-use qac_pbf::scale::{scale_to_range, CoefficientRange};
 
 use crate::{compile_workload, AUSTRALIA, FIGURE2};
 
@@ -45,9 +41,8 @@ const WORKLOADS: &[(&str, &str, &str)] = &[
 
 /// The canonical single-gate edit: swap the first swappable 2-input
 /// combinational gate for its dual. Returns the edited netlist and a
-/// human-readable description. Shared by the `edit` experiment, the
-/// `compile_edit` criterion pair, and the BENCH baseline so they all
-/// measure the same edit.
+/// human-readable description. Shared by the `edit` experiment and the
+/// `compile_edit` criterion pair so they measure the same edit.
 pub fn canonical_gate_edit(base: &Netlist) -> (Netlist, String) {
     let (cell, swapped) = base
         .cells()
@@ -83,34 +78,6 @@ struct Row {
     cache: CacheStats,
 }
 
-/// Embeds one compile of the edit loop on the 2000Q fabric (seed 11, the
-/// baseline convention), returning the embedding and the logical edge
-/// list it must validate against. With a `cache` the embedding comes
-/// from the lookup `DWaveSim::run` uses and is routed only on a miss;
-/// without one it is always routed from scratch. Shared by the `edit`
-/// experiment, the `compile_edit` criterion pair, and the BENCH baseline.
-pub fn embed_for_edit(
-    compiled: &Compiled,
-    chimera: &Chimera,
-    hardware: &HardwareGraph,
-    cache: Option<&EmbeddingCache>,
-) -> (Embedding, Vec<(usize, usize)>) {
-    let scaled = scale_to_range(&compiled.assembled.ising, CoefficientRange::DWAVE_2000Q);
-    let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-    let num_vars = scaled.model.num_vars();
-    let options = EmbedOptions {
-        seed: 11,
-        ..Default::default()
-    };
-    let route = || find_embedding_with_stats(&edges, num_vars, hardware, &options);
-    let (embedding, _) = match cache {
-        Some(cache) => cache.get_or_embed_on(chimera, &edges, num_vars, &options, hardware, route),
-        None => route(),
-    }
-    .expect("edit workloads embed on a 2000Q");
-    (embedding, edges)
-}
-
 fn measure(workload: &'static str, source: &str, top: &str) -> Row {
     let options = CompileOptions::default();
     let chimera = Chimera::dwave_2000q();
@@ -121,22 +88,38 @@ fn measure(workload: &'static str, source: &str, top: &str) -> Row {
     let base = compile_workload(source, top).netlist;
     let prev = compile_netlist(base.clone(), &options).expect("pre-edit compile succeeds");
     let cache = EmbeddingCache::new();
-    embed_for_edit(&prev, &chimera, &hardware, Some(&cache));
+    // Seed 11, the baseline convention.
+    let embed_options = EmbedOptions {
+        seed: 11,
+        ..Default::default()
+    };
+    let embed_on_2000q = |compiled: &Compiled, cache: Option<&EmbeddingCache>| {
+        embed(
+            &compiled.assembled.ising,
+            &chimera,
+            &hardware,
+            &embed_options,
+            cache,
+        )
+        .expect("edit workloads embed on a 2000Q")
+        .0
+    };
+    embed_on_2000q(&prev, Some(&cache));
 
     let (edited, edit) = canonical_gate_edit(&base);
 
     // Cold: recompile + re-embed with no prior knowledge.
     let start = Instant::now();
     let cold = compile_netlist(edited.clone(), &options).expect("cold compile succeeds");
-    let (cold_embedding, cold_edges) = embed_for_edit(&cold, &chimera, &hardware, None);
+    let cold_embedding = embed_on_2000q(&cold, None);
     let cold_us = start.elapsed().as_secs_f64() * 1e6;
-    assert!(cold_embedding.validate(&cold_edges, &hardware));
+    assert!(cold_embedding.validate(&cold.assembled.ising, &hardware));
 
     // Warm: recompile reusing clean proofs, then look the embedding up.
     let start = Instant::now();
     let (warm, report) =
         compile_netlist_incremental(&prev, edited, &options).expect("warm compile succeeds");
-    let (warm_embedding, edges) = embed_for_edit(&warm, &chimera, &hardware, Some(&cache));
+    let warm_embedding = embed_on_2000q(&warm, Some(&cache));
     let warm_us = start.elapsed().as_secs_f64() * 1e6;
 
     // The warm path must not trade correctness for speed: artifacts are
@@ -147,7 +130,7 @@ fn measure(workload: &'static str, source: &str, top: &str) -> Row {
         "{workload}: warm artifacts diverged from cold"
     );
     assert!(
-        warm_embedding.validate(&edges, &hardware),
+        warm_embedding.validate(&warm.assembled.ising, &hardware),
         "{workload}: warm embedding must validate"
     );
 

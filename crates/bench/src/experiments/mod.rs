@@ -17,7 +17,7 @@ pub use analyze::{
 };
 pub use apps::{run_circsat, run_counter, run_factor, run_map_color};
 pub use certify::{certified_corpus, certify_workload, run_certify, verify_certificate_file};
-pub use edit::{canonical_gate_edit, embed_for_edit, run_edit};
+pub use edit::{canonical_gate_edit, run_edit};
 pub use figure2::run_figure2_3;
 pub use samplers::run_samplers;
 pub use sec6::{run_sec6_1, run_sec6_2};

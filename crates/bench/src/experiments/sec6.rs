@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use qac_chimera::{embed_ising, find_embedding_or_clique, Chimera, EmbedOptions};
+use qac_chimera::{embed, embed_ising, Chimera, EmbedOptions};
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
 use qac_solvers::{DWaveSim, DWaveSimOptions, TimingModel};
 
@@ -70,8 +70,8 @@ pub fn run_sec6_1() {
     // 25 randomized embeddings on a C16 (the paper's protocol).
     let chimera = Chimera::dwave_2000q();
     let hardware = chimera.graph();
+    // Scaled first: the physical-term count below is of the scaled model.
     let scaled = scale_to_range(&compiled.assembled.ising, CoefficientRange::DWAVE_2000Q);
-    let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
     let mut qubits = Vec::new();
     let mut terms = Vec::new();
     // (physical qubits, max chain, seed) of the cheapest embedding.
@@ -81,14 +81,8 @@ pub fn run_sec6_1() {
             seed: 1000 + seed,
             ..Default::default()
         };
-        let embedding = find_embedding_or_clique(
-            &edges,
-            scaled.model.num_vars(),
-            &chimera,
-            &hardware,
-            &options,
-        )
-        .expect("map coloring embeds on a 2000Q");
+        let (embedding, _) = embed(&scaled.model, &chimera, &hardware, &options, None)
+            .expect("map coloring embeds on a 2000Q");
         let embedded = embed_ising(&scaled.model, &embedding, &hardware, 2.0);
         let physical = embedding.num_physical_qubits();
         if best.is_none_or(|(fewest, ..)| physical < fewest) {
@@ -116,22 +110,14 @@ pub fn run_sec6_1() {
         "  logical variables:    {:>6}   (paper: 28)",
         hand.num_vars()
     );
-    let hand_scaled = scale_to_range(&hand, CoefficientRange::DWAVE_2000Q);
-    let hand_edges: Vec<(usize, usize)> = hand_scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
     let mut hand_qubits = Vec::new();
     for seed in 0..25u64 {
         let options = EmbedOptions {
             seed: 2000 + seed,
             ..Default::default()
         };
-        let embedding = find_embedding_or_clique(
-            &hand_edges,
-            hand_scaled.model.num_vars(),
-            &chimera,
-            &hardware,
-            &options,
-        )
-        .expect("unary encoding embeds");
+        let (embedding, _) =
+            embed(&hand, &chimera, &hardware, &options, None).expect("unary encoding embeds");
         hand_qubits.push(embedding.num_physical_qubits() as f64);
     }
     let (hm, hs) = mean_std(&hand_qubits);

@@ -11,11 +11,8 @@
 
 use std::time::Instant;
 
-use qac_chimera::{
-    find_embedding_or_clique_with_stats, Chimera, EmbedOptions, KingGraph, Pegasus, Topology,
-    Zephyr,
-};
-use qac_pbf::scale::scale_to_range;
+use qac_chimera::{embed, Chimera, EmbedOptions, KingGraph, Pegasus, Topology, Zephyr};
+use qac_pbf::Ising;
 
 use crate::{compile_workload, handcoded_australia_unary, AUSTRALIA, CIRCSAT, FIGURE2};
 
@@ -30,29 +27,22 @@ struct Row {
     restarts: usize,
 }
 
-fn embed_on(
-    topology: &dyn Topology,
-    edges: &[(usize, usize)],
-    num_vars: usize,
-    options: &EmbedOptions,
-) -> Row {
+fn embed_on(topology: &dyn Topology, model: &Ising, options: &EmbedOptions) -> Row {
     let hardware = topology.graph();
     let start = Instant::now();
-    let (embedding, stats) =
-        find_embedding_or_clique_with_stats(edges, num_vars, topology, &hardware, options)
-            .unwrap_or_else(|e| panic!("workload embeds on {}: {e}", topology.family()));
+    let (embedding, stats) = embed(model, topology, &hardware, options, None)
+        .unwrap_or_else(|e| panic!("workload embeds on {}: {e}", topology.family()));
     let embed_us = start.elapsed().as_secs_f64() * 1e6;
     assert!(
-        embedding.validate(edges, &hardware),
+        embedding.validate(model, &hardware),
         "embedding on {} must be valid",
         topology.family()
     );
 
-    // Per-topology routing-work counters, same names and labels the
-    // simulator emits, so one metrics export covers both paths.
+    // `embed` exported the per-topology routing-work counters; add the
+    // qubit and chain figures under the same label.
     let telemetry = qac_telemetry::global();
     let family = topology.family();
-    stats.export_topology_counters(family);
     telemetry.counter_add(
         &format!("qac_embed_physical_qubits_total{{topology=\"{family}\"}}"),
         embedding.num_physical_qubits() as u64,
@@ -81,51 +71,27 @@ fn embed_on(
     }
 }
 
-/// The interaction graph a workload presents to the router (scaling
-/// never changes the edge set, so every family sees the identical
-/// logical graph the simulator would route).
-fn workload_edges(source: &str, top: &str) -> (Vec<(usize, usize)>, usize) {
-    let compiled = compile_workload(source, top);
-    let scaled = scale_to_range(
-        &compiled.assembled.ising,
-        qac_pbf::scale::CoefficientRange::DWAVE_2000Q,
-    );
-    let edges = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-    (edges, scaled.model.num_vars())
-}
-
 /// The per-topology comparison table over the §6 workloads.
 pub fn run_topology() {
     println!("== topology axis: §6 workloads across hardware families ==\n");
 
-    // (label, edges, num_vars, routable on the king lattice).
-    type WorkloadRow = (&'static str, Vec<(usize, usize)>, usize, bool);
-    let unary = handcoded_australia_unary();
-    let workloads: [WorkloadRow; 4] = [
-        {
-            let (edges, n) = workload_edges(FIGURE2, "circuit");
-            ("figure2", edges, n, true)
-        },
-        {
-            let (edges, n) = workload_edges(CIRCSAT, "circsat");
-            ("circsat", edges, n, true)
-        },
-        {
-            // The compiled map-coloring netlist has degree-15 logical
-            // variables; the router places it on the dense fabrics but
-            // not on a degree-8 king lattice, so that row is skipped.
-            let (edges, n) = workload_edges(AUSTRALIA, "australia");
-            ("australia", edges, n, false)
-        },
-        {
-            let edges = unary.j_iter().map(|t| (t.i, t.j)).collect();
-            ("australia-unary", edges, unary.num_vars(), true)
-        },
+    // (label, logical model, routable on the king lattice).
+    let model = |source, top| compile_workload(source, top).assembled.ising;
+    let workloads: [(&str, Ising, bool); 4] = [
+        ("figure2", model(FIGURE2, "circuit"), true),
+        ("circsat", model(CIRCSAT, "circsat"), true),
+        // The compiled map-coloring netlist has degree-15 logical
+        // variables; the router places it on the dense fabrics but not
+        // on a degree-8 king lattice, so that row is skipped.
+        ("australia", model(AUSTRALIA, "australia"), false),
+        ("australia-unary", handcoded_australia_unary(), true),
     ];
-    for (label, edges, num_vars, on_king) in &workloads {
+    for (label, model, on_king) in &workloads {
+        // Explicit zero couplings need no coupler, so they are not routed.
+        let couplings = model.j_iter().filter(|t| t.value != 0.0).count();
         println!(
-            "{label}: {num_vars} logical variables, {} logical couplings",
-            edges.len()
+            "{label}: {} logical variables, {couplings} logical couplings",
+            model.num_vars()
         );
         println!(
             "{:<26} {:>8} {:>10} {:>10} {:>11} {:>11} {:>9}",
@@ -136,12 +102,12 @@ pub fn run_topology() {
             ..Default::default()
         };
         let mut rows = vec![
-            embed_on(&Chimera::dwave_2000q(), edges, *num_vars, &options),
-            embed_on(&Pegasus::new(6), edges, *num_vars, &options),
-            embed_on(&Zephyr::new(4), edges, *num_vars, &options),
+            embed_on(&Chimera::dwave_2000q(), model, &options),
+            embed_on(&Pegasus::new(6), model, &options),
+            embed_on(&Zephyr::new(4), model, &options),
         ];
         if *on_king {
-            rows.push(embed_on(&KingGraph::new(48), edges, *num_vars, &options));
+            rows.push(embed_on(&KingGraph::new(48), model, &options));
         }
         for r in &rows {
             println!(

@@ -7,32 +7,27 @@
 //! [`topology_golden_fixture`], which the `golden_gen` binary writes to
 //! disk and the `golden_router` test replays byte-for-byte.
 
-use qac_chimera::{find_embedding, EmbedOptions, KingGraph, Pegasus, Topology};
-use qac_pbf::scale::{scale_to_range, CoefficientRange};
+use qac_chimera::{embed, EmbedOptions, KingGraph, Pegasus, Topology};
+use qac_pbf::Ising;
 
 use crate::{compile_workload, handcoded_australia_unary, FIGURE2};
-
-/// One golden workload: `(name, interaction edges, logical variable count)`.
-pub type GoldenWorkload = (&'static str, Vec<(usize, usize)>, usize);
 
 /// The workload set the topology goldens cover: the Figure 2 circuit and
 /// the §6.1 hand-coded unary map coloring. (The *compiled* map-coloring
 /// netlist has degree-15 variables and does not route on a degree-8
 /// king lattice, so the hand-coded §6 variant stands in for it here.)
-pub fn golden_workloads() -> Vec<GoldenWorkload> {
-    let compiled = compile_workload(FIGURE2, "circuit");
-    let scaled = scale_to_range(&compiled.assembled.ising, CoefficientRange::DWAVE_2000Q);
-    let figure2 = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-    let unary = handcoded_australia_unary();
-    let australia = unary.j_iter().map(|t| (t.i, t.j)).collect();
+fn golden_workloads() -> Vec<(&'static str, Ising)> {
     vec![
-        ("figure2", figure2, scaled.model.num_vars()),
-        ("australia-unary", australia, unary.num_vars()),
+        (
+            "figure2",
+            compile_workload(FIGURE2, "circuit").assembled.ising,
+        ),
+        ("australia-unary", handcoded_australia_unary()),
     ]
 }
 
 /// The topology set the goldens cover, as `(token, topology)` pairs.
-pub fn golden_topologies() -> Vec<(&'static str, Box<dyn Topology>)> {
+fn golden_topologies() -> Vec<(&'static str, Box<dyn Topology>)> {
     vec![
         ("pegasus6", Box::new(Pegasus::new(6))),
         ("king48", Box::new(KingGraph::new(48))),
@@ -47,22 +42,18 @@ pub fn golden_topologies() -> Vec<(&'static str, Box<dyn Topology>)> {
 /// pin an invalid routing.
 pub fn topology_golden_fixture() -> String {
     let mut out = String::new();
-    for (workload, edges, num_vars) in golden_workloads() {
+    for (workload, model) in golden_workloads() {
         for (token, topology) in golden_topologies() {
             let hardware = topology.graph();
             for seed in [11u64, 12] {
-                let embedding = find_embedding(
-                    &edges,
-                    num_vars,
-                    &hardware,
-                    &EmbedOptions {
-                        seed,
-                        ..EmbedOptions::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{workload} on {token} seed {seed}: {e}"));
+                let options = EmbedOptions {
+                    seed,
+                    ..EmbedOptions::default()
+                };
+                let (embedding, _) = embed(&model, topology.as_ref(), &hardware, &options, None)
+                    .unwrap_or_else(|e| panic!("{workload} on {token} seed {seed}: {e}"));
                 assert!(
-                    embedding.validate(&edges, &hardware),
+                    embedding.validate(&model, &hardware),
                     "{workload} on {token} seed {seed}: invalid embedding"
                 );
                 out.push_str(&format!(

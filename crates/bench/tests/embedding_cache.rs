@@ -4,17 +4,9 @@
 use std::sync::Arc;
 
 use qac_bench::{compile_workload, AUSTRALIA};
-use qac_chimera::{find_embedding_with_stats, Chimera, EmbedOptions, EmbeddingCache};
+use qac_chimera::{embed, Chimera, EmbedOptions, EmbeddingCache};
 use qac_core::{RunOptions, SolverChoice};
-use qac_pbf::scale::{scale_to_range, CoefficientRange};
 use qac_solvers::DWaveSimOptions;
-
-fn australia_edges() -> (Vec<(usize, usize)>, usize) {
-    let compiled = compile_workload(AUSTRALIA, "australia");
-    let scaled = scale_to_range(&compiled.assembled.ising, CoefficientRange::DWAVE_2000Q);
-    let edges = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-    (edges, scaled.model.num_vars())
-}
 
 #[test]
 fn warm_cache_run_does_zero_route_iterations() {
@@ -81,7 +73,7 @@ fn cache_hit_preserves_solution_validity() {
 
 #[test]
 fn cached_embedding_validates_on_the_hardware_graph() {
-    let (edges, num_vars) = australia_edges();
+    let logical = compile_workload(AUSTRALIA, "australia").assembled.ising;
     let chimera = Chimera::dwave_2000q();
     let hardware = chimera.graph();
     let options = EmbedOptions {
@@ -90,12 +82,9 @@ fn cached_embedding_validates_on_the_hardware_graph() {
     };
     let cache = EmbeddingCache::new();
     for _ in 0..2 {
-        let (embedding, _) = cache
-            .get_or_embed(&edges, num_vars, &options, &hardware, || {
-                find_embedding_with_stats(&edges, num_vars, &hardware, &options)
-            })
+        let (embedding, _) = embed(&logical, &chimera, &hardware, &options, Some(&cache))
             .expect("map coloring embeds");
-        assert!(embedding.validate(&edges, &hardware));
+        assert!(embedding.validate(&logical, &hardware));
     }
     assert_eq!((cache.hits(), cache.misses()), (1, 1));
 }

@@ -9,8 +9,7 @@
 //! the deepening certificate shows up here as a diff.
 
 use qac_bench::{compile_workload, AUSTRALIA, CIRCSAT, FIGURE2};
-use qac_chimera::{find_embedding, Chimera, EmbedOptions};
-use qac_pbf::scale::{scale_to_range, CoefficientRange};
+use qac_chimera::{embed, Chimera, EmbedOptions};
 
 const GOLDEN: &str = include_str!("golden/router_chains.txt");
 const GOLDEN_TOPOLOGY: &str = include_str!("golden/router_chains_topology.txt");
@@ -60,31 +59,24 @@ fn router_chains_match_pre_rewrite_goldens() {
         ("circsat", CIRCSAT, "circsat"),
         ("australia", AUSTRALIA, "australia"),
     ] {
-        let compiled = compile_workload(source, top);
-        let scaled = scale_to_range(&compiled.assembled.ising, CoefficientRange::DWAVE_2000Q);
-        let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-        let n = scaled.model.num_vars();
+        let logical = compile_workload(source, top).assembled.ising;
         for seed in [11u64, 12] {
             let golden = &records
                 .iter()
                 .find(|(g_name, g_seed, _)| g_name == name && *g_seed == seed)
                 .unwrap_or_else(|| panic!("fixture missing {name} seed {seed}"))
                 .2;
-            let embedding = find_embedding(
-                &edges,
-                n,
-                &hardware,
-                &EmbedOptions {
-                    seed,
-                    ..EmbedOptions::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{name} seed {seed} failed to embed: {e}"));
+            let options = EmbedOptions {
+                seed,
+                ..EmbedOptions::default()
+            };
+            let (embedding, _) = embed(&logical, &chimera, &hardware, &options, None)
+                .unwrap_or_else(|e| panic!("{name} seed {seed} failed to embed: {e}"));
             // Every golden output must also be a *valid* minor embedding —
             // connected chains of active qubits with every logical edge
             // realizable — not merely a reproducible one.
             assert!(
-                embedding.validate(&edges, &hardware),
+                embedding.validate(&logical, &hardware),
                 "{name} seed {seed}: embedding no longer validates"
             );
             assert_eq!(

@@ -32,13 +32,8 @@ fn dwave_sim_reaches_figure2_ground_on_pegasus() {
         "ground state should be reached by more than a stray read"
     );
 
-    // The same interaction graph run() routes: scaling drops exact-zero
-    // couplings, so build the edge list from the scaled model.
-    let scaled = qac_pbf::scale::scale_to_range(model, spec.coefficient_range());
-    let edges: Vec<(usize, usize)> = scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-    let hardware = spec.graph();
     assert!(
-        result.embedding.validate(&edges, &hardware),
+        result.embedding.validate(model, &spec.graph()),
         "the embedding used on Pegasus must be a valid minor embedding"
     );
     // Pegasus qubits only: every chain fits the P4 fabric.

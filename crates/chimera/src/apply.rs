@@ -224,8 +224,15 @@ pub fn unembed_by(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{find_embedding, Chimera, EmbedOptions};
+    use crate::{embed, Chimera, EmbedOptions};
     use qac_pbf::bits_to_spins;
+
+    /// The hardware graph of `chimera` and an embedding of `logical` on it.
+    fn embed_on(chimera: &Chimera, logical: &Ising) -> (HardwareGraph, Embedding) {
+        let hw = chimera.graph();
+        let (embedding, _) = embed(logical, chimera, &hw, &EmbedOptions::default(), None).unwrap();
+        (hw, embedding)
+    }
 
     /// Exhaustively minimizes a (small) Ising model.
     fn ground_states(model: &Ising, over: &[usize]) -> (f64, Vec<Vec<Spin>>) {
@@ -259,9 +266,7 @@ mod tests {
         logical.add_j(0, 1, -1.0);
         logical.add_j(1, 2, -1.0);
         logical.add_j(0, 2, -1.0);
-        let hw = Chimera::new(2).graph();
-        let edges = [(0, 1), (1, 2), (0, 2)];
-        let embedding = find_embedding(&edges, 3, &hw, &EmbedOptions::default()).unwrap();
+        let (hw, embedding) = embed_on(&Chimera::new(2), &logical);
         let embedded = embed_ising(&logical, &embedding, &hw, 4.0);
 
         // Enumerate over used qubits only.
@@ -277,9 +282,11 @@ mod tests {
 
     #[test]
     fn chain_break_detection() {
-        let hw = Chimera::new(1).graph();
-        let edges = [(0, 1), (1, 2), (0, 2)];
-        let embedding = find_embedding(&edges, 3, &hw, &EmbedOptions::default()).unwrap();
+        let mut triangle = Ising::new(3);
+        for (a, b) in [(0, 1), (1, 2), (0, 2)] {
+            triangle.add_j(a, b, 1.0);
+        }
+        let (hw, embedding) = embed_on(&Chimera::new(1), &triangle);
         // Find a chained variable and flip half its qubits.
         let chained = (0..3).find(|&v| embedding.chain(v).len() >= 2).unwrap();
         let mut phys = vec![Spin::Down; hw.num_nodes()];
@@ -294,8 +301,7 @@ mod tests {
         let mut logical = Ising::new(2);
         logical.add_h(0, 1.5);
         logical.add_j(0, 1, -0.5);
-        let hw = Chimera::new(2).graph();
-        let embedding = find_embedding(&[(0, 1)], 2, &hw, &EmbedOptions::default()).unwrap();
+        let (hw, embedding) = embed_on(&Chimera::new(2), &logical);
         let embedded = embed_ising(&logical, &embedding, &hw, 2.0);
         let total_h: f64 = embedded.physical.h_iter().map(|(_, h)| h).sum();
         assert!((total_h - 1.5).abs() < 1e-12);
@@ -323,9 +329,7 @@ mod tests {
                 logical.add_j(v, u, if (v + u) % 2 == 0 { -0.8 } else { 0.6 });
             }
         }
-        let hw = Chimera::new(3).graph();
-        let edges: Vec<(usize, usize)> = logical.j_iter().map(|t| (t.i, t.j)).collect();
-        let embedding = find_embedding(&edges, 5, &hw, &EmbedOptions::default()).unwrap();
+        let (hw, embedding) = embed_on(&Chimera::new(3), &logical);
         assert!(
             embedding.chains().iter().any(|c| c.len() >= 2),
             "K5 on Chimera needs at least one multi-qubit chain"
@@ -392,8 +396,7 @@ mod tests {
         let mut logical = Ising::new(1);
         logical.add_h(0, 1.0);
         logical.add_offset(2.5);
-        let hw = Chimera::new(1).graph();
-        let embedding = find_embedding(&[], 1, &hw, &EmbedOptions::default()).unwrap();
+        let (hw, embedding) = embed_on(&Chimera::new(1), &logical);
         let embedded = embed_ising(&logical, &embedding, &hw, 1.0);
         assert_eq!(embedded.physical.offset(), 2.5);
     }

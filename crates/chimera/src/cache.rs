@@ -3,9 +3,10 @@
 //! Minor embedding dominates compile-to-run latency (the CMR heuristic
 //! reroutes chains for dozens of rounds), yet repeated runs of the same
 //! compiled program re-solve the identical placement problem: the logical
-//! interaction graph, the embedding options, and the hardware graph fully
-//! determine the search. [`EmbeddingCache`] memoizes on exactly that
-//! triple, so a warm run performs **zero** route iterations.
+//! interaction graph, the embedding options, and the topology and its
+//! hardware graph fully determine the search. [`EmbeddingCache`] memoizes
+//! on exactly those ([`embedding_key`]), so a warm run performs **zero**
+//! route iterations. Lookups go through [`embed`](crate::embed).
 //!
 //! The cache is `Sync`; share one instance across runs (or threads) via
 //! `Arc`.
@@ -15,7 +16,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::embed::{EmbedOptions, EmbedStats, Embedding};
+use qac_pbf::Ising;
+
+use crate::embed::{routed_couplings, EmbedOptions, EmbedStats, Embedding};
 use crate::topology::Topology;
 use crate::{EmbedError, HardwareGraph};
 
@@ -50,29 +53,30 @@ impl Fnv {
     }
 }
 
-/// Canonical hash of one embedding problem: logical interaction graph
-/// (edges normalized, sorted, deduplicated) + [`EmbedOptions`] + hardware
-/// graph (node count, active set, couplers).
+/// Canonical hash of one embedding problem as [`embed`](crate::embed)
+/// sees it: the topology's [`parameter_hash`](Topology::parameter_hash),
+/// the routed interaction graph (the model's variable count and nonzero
+/// couplings), the [`EmbedOptions`] and the hardware graph (node count,
+/// inactive set, couplers).
 ///
-/// The edge *weights* of the logical model are deliberately excluded —
-/// an embedding depends only on which interactions exist, so models that
-/// differ only in coefficients (e.g. different pin biases) share a cache
-/// entry.
-pub fn embedding_key(
-    edges: &[(usize, usize)],
-    num_vars: usize,
-    options: &EmbedOptions,
+/// The coupling *values* are deliberately excluded — an embedding depends
+/// only on which interactions exist, so models that differ only in
+/// coefficients (e.g. different pin biases) share a cache entry. The
+/// parameter hash keeps two families apart even when their graphs are
+/// equal, so e.g. a C4 and a king's graph can never share an entry.
+pub fn embedding_key<T: Topology + ?Sized>(
+    model: &Ising,
+    topology: &T,
     hardware: &HardwareGraph,
+    options: &EmbedOptions,
 ) -> u64 {
     let mut h = Fnv::new();
-    h.write_usize(num_vars);
-
-    let mut canonical: Vec<(usize, usize)> =
-        edges.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
-    canonical.sort_unstable();
-    canonical.dedup();
-    h.write_usize(canonical.len());
-    for (a, b) in canonical {
+    h.write_u64(topology.parameter_hash());
+    h.write_usize(model.num_vars());
+    // `j_iter` yields each coupling once, normalized and sorted, so the
+    // edge list is already canonical.
+    h.write_usize(routed_couplings(model).count());
+    for (a, b) in routed_couplings(model) {
         h.write_usize(a);
         h.write_usize(b);
     }
@@ -93,28 +97,6 @@ pub fn embedding_key(
         h.write_usize(a);
         h.write_usize(b);
     }
-    h.finish()
-}
-
-/// [`embedding_key`] extended with the topology's canonical
-/// [`parameter_hash`](Topology::parameter_hash).
-///
-/// The hardware-graph component of [`embedding_key`] already separates
-/// most topologies (different edges hash differently), but two families
-/// can in principle produce isomorphic — even identical — graphs of the
-/// same size. Mixing in the family/parameter hash guarantees, e.g., a C4
-/// and a king's graph with equal qubit counts can never share a cache
-/// entry.
-pub fn topology_embedding_key<T: Topology + ?Sized>(
-    topology: &T,
-    edges: &[(usize, usize)],
-    num_vars: usize,
-    options: &EmbedOptions,
-    hardware: &HardwareGraph,
-) -> u64 {
-    let mut h = Fnv::new();
-    h.write_u64(topology.parameter_hash());
-    h.write_u64(embedding_key(edges, num_vars, options, hardware));
     h.finish()
 }
 
@@ -171,77 +153,36 @@ impl EmbeddingCache {
         EmbeddingCache::default()
     }
 
-    /// Returns the cached embedding for this problem, or computes one with
+    /// Returns the embedding cached under `key`, or computes one with
     /// `embed`, stores it, and returns it. Hits report
     /// [`EmbedStats::cache_hit`] with zero route iterations; failures are
-    /// not cached (a later call with more tries may succeed).
-    ///
-    /// # Errors
-    /// Whatever `embed` returns on a miss.
-    pub fn get_or_embed<F>(
-        &self,
-        edges: &[(usize, usize)],
-        num_vars: usize,
-        options: &EmbedOptions,
-        hardware: &HardwareGraph,
-        embed: F,
-    ) -> Result<(Embedding, EmbedStats), EmbedError>
-    where
-        F: FnOnce() -> Result<(Embedding, EmbedStats), EmbedError>,
-    {
-        let key = embedding_key(edges, num_vars, options, hardware);
-        self.get_or_embed_keyed(key, None, embed)
-    }
-
-    /// Topology-aware [`EmbeddingCache::get_or_embed`]: the key also
-    /// incorporates [`Topology::parameter_hash`] (see
-    /// [`topology_embedding_key`]), so equal hardware graphs from
-    /// different families never share an entry, and the cache counters
-    /// are additionally emitted with a `topology="family"` label.
-    ///
-    /// # Errors
-    /// Whatever `embed` returns on a miss.
-    pub fn get_or_embed_on<T, F>(
-        &self,
-        topology: &T,
-        edges: &[(usize, usize)],
-        num_vars: usize,
-        options: &EmbedOptions,
-        hardware: &HardwareGraph,
-        embed: F,
-    ) -> Result<(Embedding, EmbedStats), EmbedError>
-    where
-        T: Topology + ?Sized,
-        F: FnOnce() -> Result<(Embedding, EmbedStats), EmbedError>,
-    {
-        let key = topology_embedding_key(topology, edges, num_vars, options, hardware);
-        self.get_or_embed_keyed(key, Some(topology.family()), embed)
-    }
-
-    fn get_or_embed_keyed<F>(
+    /// not cached (a later call with more tries may succeed). Every
+    /// lookup bumps the hit or miss counters, unlabeled and under a
+    /// `topology="family"` label, and leaves a flight event named after
+    /// the family.
+    pub(crate) fn lookup_or_embed<F>(
         &self,
         key: u64,
-        family: Option<&'static str>,
+        family: &'static str,
         embed: F,
     ) -> Result<(Embedding, EmbedStats), EmbedError>
     where
         F: FnOnce() -> Result<(Embedding, EmbedStats), EmbedError>,
     {
-        let labeled =
-            |base: &str| family.map(|f| qac_telemetry::metrics::labeled(base, &[("topology", f)]));
-        // Both the PR 6 `qac_embed_*` names and the generic
-        // `qac_cache_hit/miss_total` convention the service layer will
-        // scrape; the flight recorder gets the same event under the
-        // current job's trace id for post-mortems.
+        // Both the `qac_embed_*` names and the generic
+        // `qac_cache_hit/miss_total` convention; the flight recorder gets
+        // the same event under the current job's trace id for
+        // post-mortems.
         let bump = |names: [&str; 2], kind: qac_telemetry::FlightKind| {
             let telemetry = qac_telemetry::global();
             for base in names {
                 telemetry.counter_add(base, 1);
-                if let Some(name) = labeled(base) {
-                    telemetry.counter_add(&name, 1);
-                }
+                telemetry.counter_add(
+                    &qac_telemetry::metrics::labeled(base, &[("topology", family)]),
+                    1,
+                );
             }
-            qac_telemetry::global_flight().record(kind, family.unwrap_or("embed"), 1.0);
+            qac_telemetry::global_flight().record(kind, family, 1.0);
         };
         {
             let guard = self.lock();
@@ -314,11 +255,6 @@ impl EmbeddingCache {
         }
     }
 
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Embedding>> {
         // A poisoned mutex means another thread panicked mid-insert; the
         // map itself is always in a consistent state.
@@ -329,7 +265,7 @@ impl EmbeddingCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{find_embedding_with_stats, Chimera, KingGraph, Pegasus, Zephyr};
+    use crate::{embed, Chimera, KingGraph, Pegasus, Zephyr};
 
     /// Every successful lookup bumps the process-wide telemetry counters,
     /// which `lookups_emit_generic_counters_and_flight_events` reads
@@ -340,8 +276,16 @@ mod tests {
         LOCK.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn triangle() -> Vec<(usize, usize)> {
-        vec![(0, 1), (1, 2), (0, 2)]
+    fn model(n: usize, edges: &[(usize, usize)]) -> Ising {
+        let mut model = Ising::new(n);
+        for &(a, b) in edges {
+            model.add_j(a, b, -1.0);
+        }
+        model
+    }
+
+    fn triangle() -> Ising {
+        model(3, &[(0, 1), (1, 2), (0, 2)])
     }
 
     fn embed_triangle(
@@ -349,11 +293,7 @@ mod tests {
         hw: &HardwareGraph,
         options: &EmbedOptions,
     ) -> (Embedding, EmbedStats) {
-        cache
-            .get_or_embed(&triangle(), 3, options, hw, || {
-                find_embedding_with_stats(&triangle(), 3, hw, options)
-            })
-            .unwrap()
+        embed(&triangle(), &Chimera::new(2), hw, options, Some(cache)).unwrap()
     }
 
     #[test]
@@ -380,92 +320,90 @@ mod tests {
     }
 
     #[test]
+    fn an_explicit_zero_coupling_hits_the_entry_of_the_model_without_it() {
+        let _serial = serial_lookups();
+        let chimera = Chimera::new(2);
+        let hw = chimera.graph();
+        let options = EmbedOptions::default();
+        let cache = EmbeddingCache::new();
+        let path = model(3, &[(0, 1), (1, 2)]);
+        let mut zeroed = path.clone();
+        zeroed.add_j(0, 2, 0.0);
+        let (cold, _) = embed(&path, &chimera, &hw, &options, Some(&cache)).unwrap();
+        let (warm, stats) = embed(&zeroed, &chimera, &hw, &options, Some(&cache)).unwrap();
+        assert!(stats.cache_hit);
+        assert_eq!(warm, cold);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
     fn key_distinguishes_problem_options_and_hardware() {
-        let hw2 = Chimera::new(2).graph();
+        let c2 = Chimera::new(2);
+        let hw2 = c2.graph();
         let hw3 = Chimera::new(3).graph();
         let mut dropped = Chimera::new(2).graph();
         dropped.deactivate(0);
         let base = EmbedOptions::default();
-        let key =
-            |edges: &[(usize, usize)], n, o: &EmbedOptions, hw| embedding_key(edges, n, o, hw);
+        let key = |m: &Ising, o: &EmbedOptions, hw| embedding_key(m, &c2, hw, o);
 
-        let k0 = key(&triangle(), 3, &base, &hw2);
-        // Edge order and duplicates do not matter.
-        assert_eq!(k0, key(&[(2, 1), (0, 2), (1, 0), (1, 2)], 3, &base, &hw2));
+        let k0 = key(&triangle(), &base, &hw2);
+        // Coupling values and insertion order do not matter.
+        let mut reweighted = Ising::new(3);
+        reweighted.add_j(2, 0, 0.5);
+        reweighted.add_j(1, 0, 3.0);
+        reweighted.add_j(2, 1, -0.25);
+        assert_eq!(k0, key(&reweighted, &base, &hw2));
         // Everything else does.
-        assert_ne!(k0, key(&[(0, 1), (1, 2)], 3, &base, &hw2));
-        assert_ne!(k0, key(&triangle(), 4, &base, &hw2));
-        assert_ne!(
-            k0,
-            key(
-                &triangle(),
-                3,
-                &EmbedOptions {
-                    seed: 1,
-                    ..base.clone()
-                },
-                &hw2
-            )
-        );
-        assert_ne!(
-            k0,
-            key(
-                &triangle(),
-                3,
-                &EmbedOptions {
-                    rounds: 7,
-                    ..base.clone()
-                },
-                &hw2
-            )
-        );
-        assert_ne!(k0, key(&triangle(), 3, &base, &hw3));
-        assert_ne!(k0, key(&triangle(), 3, &base, &dropped));
+        assert_ne!(k0, key(&model(3, &[(0, 1), (1, 2)]), &base, &hw2));
+        assert_ne!(k0, key(&model(4, &[(0, 1), (1, 2), (0, 2)]), &base, &hw2));
+        let seeded = EmbedOptions {
+            seed: 1,
+            ..base.clone()
+        };
+        assert_ne!(k0, key(&triangle(), &seeded, &hw2));
+        let rounds = EmbedOptions {
+            rounds: 7,
+            ..base.clone()
+        };
+        assert_ne!(k0, key(&triangle(), &rounds, &hw2));
+        assert_ne!(k0, key(&triangle(), &base, &hw3));
+        assert_ne!(k0, key(&triangle(), &base, &dropped));
 
-        // Topology-aware keys: the family/parameter hash separates
-        // topologies even when their qubit counts are equal. A C4 has
-        // 8·16 = 128 qubits; so does a √128-free king's graph? No — but
-        // equal *node counts* are exactly what the plain hardware hash
-        // could conflate if the edge sets also matched, so the guarantee
+        // The family/parameter hash separates topologies even when the
+        // problem and the hardware graph bytes are equal: that guarantee
         // must come from the parameter hash, not the graph bytes.
         let c4 = Chimera::new(4);
         let king = KingGraph::new(11); // 121 vs 128 nodes: near-miss sizes
-        let tk = |t: &dyn Topology, hw: &HardwareGraph| {
-            topology_embedding_key(t, &triangle(), 3, &base, hw)
-        };
+        let tk = |t: &dyn Topology, hw: &HardwareGraph| embedding_key(&triangle(), t, hw, &base);
         let c4_graph = c4.graph();
         let king_graph = king.graph();
         assert_ne!(tk(&c4, &c4_graph), tk(&king, &king_graph));
         // Same problem + same hardware bytes, different claimed family →
-        // different key (the collision the satellite guards against).
+        // different key.
         assert_ne!(tk(&c4, &c4_graph), tk(&king, &c4_graph));
         assert_ne!(
             tk(&Pegasus::new(4), &c4_graph),
             tk(&Zephyr::new(4), &c4_graph)
         );
-        // And the topology-aware key still separates everything the
-        // plain key separates.
         assert_ne!(tk(&c4, &c4_graph), tk(&Chimera::new(3), &c4_graph));
     }
 
     #[test]
     fn failures_are_not_cached() {
-        let hw = Chimera::new(1).graph();
+        let chimera = Chimera::new(1);
+        let hw = chimera.graph();
         let cache = EmbeddingCache::new();
         let options = EmbedOptions {
             tries: 1,
             rounds: 4,
             ..Default::default()
         };
-        // K9 in one unit cell: impossible.
+        // K9 in one unit cell: impossible, and too big for C1's template.
         let edges: Vec<(usize, usize)> = (0..9)
             .flat_map(|i| ((i + 1)..9).map(move |j| (i, j)))
             .collect();
-        let attempt = |cache: &EmbeddingCache| {
-            cache.get_or_embed(&edges, 9, &options, &hw, || {
-                find_embedding_with_stats(&edges, 9, &hw, &options)
-            })
-        };
+        let k9 = model(9, &edges);
+        let attempt = |cache: &EmbeddingCache| embed(&k9, &chimera, &hw, &options, Some(cache));
         assert!(attempt(&cache).is_err());
         assert!(cache.is_empty());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
@@ -523,11 +461,7 @@ mod tests {
                             seed: (t + i) as u64 % keys,
                             ..Default::default()
                         };
-                        let (embedding, _) = cache
-                            .get_or_embed(&triangle(), 3, &options, hw, || {
-                                find_embedding_with_stats(&triangle(), 3, hw, &options)
-                            })
-                            .expect("triangle embeds");
+                        let (embedding, _) = embed_triangle(cache, hw, &options);
                         assert!(embedding.validate(&triangle(), hw));
                         let stats = cache.stats();
                         assert!(
@@ -583,11 +517,9 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..iterations {
                         let (topology, hw) = &topologies[(t + i) % topologies.len()];
-                        let (embedding, _) = cache
-                            .get_or_embed_on(topology.as_ref(), &triangle(), 3, options, hw, || {
-                                find_embedding_with_stats(&triangle(), 3, hw, options)
-                            })
-                            .expect("triangle embeds on every family");
+                        let (embedding, _) =
+                            embed(&triangle(), topology.as_ref(), hw, options, Some(cache))
+                                .expect("triangle embeds on every family");
                         assert!(
                             embedding.validate(&triangle(), hw),
                             "cached chain must be valid on its own topology"
@@ -612,10 +544,10 @@ mod tests {
     #[test]
     fn lookups_emit_generic_counters_and_flight_events() {
         let _serial = serial_lookups();
-        // The PR 7 satellite: alongside the qac_embed_* names, every
-        // lookup bumps the generic qac_cache_hit/miss_total counters
-        // (labeled by topology family + unlabeled aggregate) and leaves
-        // a CacheHit/CacheMiss flight event under the active trace.
+        // Alongside the qac_embed_* names, every lookup bumps the generic
+        // qac_cache_hit/miss_total counters (labeled by topology family
+        // + unlabeled aggregate) and leaves a CacheHit/CacheMiss flight
+        // event under the active trace.
         use qac_telemetry::{FlightKind, TraceId, TraceScope};
         let telemetry = qac_telemetry::global();
         telemetry.enable();
@@ -639,10 +571,7 @@ mod tests {
         {
             let _scope = TraceScope::enter(trace);
             for _ in 0..2 {
-                cache
-                    .get_or_embed_on(&king, &triangle(), 3, &options, &hw, || {
-                        find_embedding_with_stats(&triangle(), 3, &hw, &options)
-                    })
+                embed(&triangle(), &king, &hw, &options, Some(&cache))
                     .expect("triangle embeds on a king graph");
             }
         }
@@ -665,18 +594,5 @@ mod tests {
         for event in qac_telemetry::global_flight().events_for(trace) {
             assert_eq!(event.name, "king");
         }
-    }
-
-    #[test]
-    fn clear_forces_recomputation() {
-        let _serial = serial_lookups();
-        let hw = Chimera::new(2).graph();
-        let options = EmbedOptions::default();
-        let cache = EmbeddingCache::new();
-        embed_triangle(&cache, &hw, &options);
-        cache.clear();
-        let (_, stats) = embed_triangle(&cache, &hw, &options);
-        assert!(!stats.cache_hit);
-        assert_eq!(cache.misses(), 2);
     }
 }

@@ -13,7 +13,7 @@
 //! CMR's cost is dominated by repeated shortest-path searches: every
 //! rip-up round runs a multi-source Dijkstra from each neighbor chain of
 //! each variable. The router therefore works out of a [`RouterScratch`]
-//! allocated **once** per [`find_embedding`] call:
+//! allocated **once** per [`embed`] search:
 //!
 //! * the hardware adjacency is flattened to CSR (offset + flat neighbor
 //!   arrays, see [`crate::CsrNeighbors`]) for cache-friendly relaxation;
@@ -35,9 +35,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::{CsrNeighbors, HardwareGraph};
+use qac_pbf::Ising;
 
-/// Options for [`find_embedding`].
+use crate::{embedding_key, CsrNeighbors, EmbeddingCache, HardwareGraph, Topology};
+
+/// Options for [`embed`].
 #[derive(Debug, Clone)]
 pub struct EmbedOptions {
     /// RNG seed (the heuristic is randomized; the paper reports qubit
@@ -93,7 +95,7 @@ impl EmbedStats {
     /// The router adds the unlabeled heap-pop, edge-relaxation and
     /// weight-update totals itself, because only it sees the work of a
     /// search that fails (before a clique fallback or an error).
-    pub fn export_topology_counters(&self, family: &str) {
+    fn export_topology_counters(&self, family: &str) {
         let telemetry = qac_telemetry::global();
         telemetry.counter_add("qac_route_iterations_total", self.route_iterations as u64);
         telemetry.counter_add("qac_embed_restarts_total", self.restarts as u64);
@@ -173,10 +175,22 @@ impl Embedding {
         self.chains.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Checks that the embedding is a valid minor embedding of the given
-    /// logical edges: chains are non-empty, disjoint, connected, and every
-    /// logical edge is backed by at least one physical coupler.
-    pub fn validate(&self, edges: &[(usize, usize)], hardware: &HardwareGraph) -> bool {
+    /// Checks that the embedding is a valid minor embedding of `model`:
+    /// one chain per variable, chains non-empty, disjoint and connected,
+    /// and every coupling [`embed`] routes (every nonzero one) backed by
+    /// at least one physical coupler.
+    pub fn validate(&self, model: &Ising, hardware: &HardwareGraph) -> bool {
+        let edges: Vec<_> = routed_couplings(model).collect();
+        self.chains.len() == model.num_vars() && self.validate_edges(&edges, hardware)
+    }
+
+    /// [`Embedding::validate`] over an explicit logical edge list, whose
+    /// endpoints must all have chains.
+    pub(crate) fn validate_edges(
+        &self,
+        edges: &[(usize, usize)],
+        hardware: &HardwareGraph,
+    ) -> bool {
         let mut owner = vec![usize::MAX; hardware.num_nodes()];
         for (v, chain) in self.chains.iter().enumerate() {
             if chain.is_empty() {
@@ -203,29 +217,80 @@ impl Embedding {
     }
 }
 
-/// Finds a minor embedding of the logical graph given by `edges` over
-/// `num_vars` variables into `hardware`.
-///
-/// Isolated logical variables (no incident edge) still receive a
-/// single-qubit chain.
-///
-/// # Errors
-/// [`EmbedError::NoEmbeddingFound`] after the configured restarts, or
-/// [`EmbedError::EmptyHardware`].
-pub fn find_embedding(
-    edges: &[(usize, usize)],
-    num_vars: usize,
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-) -> Result<Embedding, EmbedError> {
-    find_embedding_with_stats(edges, num_vars, hardware, options).map(|(e, _)| e)
+/// The couplings that need a physical coupler: the model's nonzero ones,
+/// in [`Ising::j_iter`] order. An explicit zero coupling contributes no
+/// energy, so it is neither routed nor part of the cache key.
+pub(crate) fn routed_couplings(model: &Ising) -> impl Iterator<Item = (usize, usize)> + '_ {
+    model
+        .j_iter()
+        .filter(|t| t.value != 0.0)
+        .map(|t| (t.i, t.j))
 }
 
-/// [`find_embedding`] that also reports how much routing work was done.
+/// Minor-embeds `model` onto `hardware`, a graph of `topology`'s family:
+/// the place-and-route step of the paper (§4.4), and the one way every
+/// run, experiment and benchmark starts it.
+///
+/// * Routes the model's nonzero couplings; isolated variables still get
+///   a single-qubit chain.
+/// * With a `cache`, looks the problem up under [`embedding_key`] first
+///   and routes only on a miss; a hit reports [`EmbedStats::cache_hit`]
+///   with zero routing work. Failures are not cached.
+/// * Falls back to the topology's
+///   [`clique_embedding`](Topology::clique_embedding) template when the
+///   heuristic fails (dense logical graphs). Families without a template
+///   (Pegasus, Zephyr, king's graph) return the heuristic's error rather
+///   than borrow another family's template. A fallback reports the
+///   nominal work of the failed heuristic (`tries × rounds`).
+/// * Adds the routing-work counters to the global telemetry recorder,
+///   each under a `{topology="family"}` label, so CI can budget each
+///   fabric on its own.
 ///
 /// # Errors
-/// Same as [`find_embedding`].
-pub fn find_embedding_with_stats(
+/// [`EmbedError::NoEmbeddingFound`] when both the heuristic and the
+/// template fail, or [`EmbedError::EmptyHardware`].
+pub fn embed<T: Topology + ?Sized>(
+    model: &Ising,
+    topology: &T,
+    hardware: &HardwareGraph,
+    options: &EmbedOptions,
+    cache: Option<&EmbeddingCache>,
+) -> Result<(Embedding, EmbedStats), EmbedError> {
+    let search = || {
+        let edges: Vec<_> = routed_couplings(model).collect();
+        let num_vars = model.num_vars();
+        match find_embedding_with_stats(&edges, num_vars, hardware, options) {
+            Err(err) => topology
+                .clique_embedding(num_vars)
+                .filter(|template| template.validate_edges(&edges, hardware))
+                .map(|template| {
+                    let stats = EmbedStats {
+                        route_iterations: options.tries * options.rounds,
+                        restarts: options.tries,
+                        ..EmbedStats::default()
+                    };
+                    (template, stats)
+                })
+                .ok_or(err),
+            found => found,
+        }
+    };
+    let family = topology.family();
+    let (embedding, stats) = match cache {
+        Some(cache) => {
+            let key = embedding_key(model, topology, hardware, options);
+            cache.lookup_or_embed(key, family, search)?
+        }
+        None => search()?,
+    };
+    stats.export_topology_counters(family);
+    Ok((embedding, stats))
+}
+
+/// Finds a minor embedding of the logical graph given by `edges` over
+/// `num_vars` variables into `hardware` with the randomized heuristic
+/// alone: the router core under [`embed`].
+fn find_embedding_with_stats(
     edges: &[(usize, usize)],
     num_vars: usize,
     hardware: &HardwareGraph,
@@ -269,7 +334,7 @@ pub fn find_embedding_with_stats(
     match found {
         Some(mut embedding) => {
             trim_chains(&mut embedding, &adj, hardware);
-            debug_assert!(embedding.validate(edges, hardware));
+            debug_assert!(embedding.validate_edges(edges, hardware));
             Ok((embedding, stats))
         }
         None => Err(EmbedError::NoEmbeddingFound {
@@ -285,65 +350,6 @@ fn flush_route_counters(stats: &EmbedStats) {
     recorder.counter_add("qac_embed_heap_pops_total", stats.heap_pops);
     recorder.counter_add("qac_embed_edge_relaxations_total", stats.edge_relaxations);
     recorder.counter_add("qac_embed_weight_updates_total", stats.weight_updates);
-}
-
-/// Finds an embedding with the randomized heuristic, falling back to the
-/// deterministic clique template of `topology` when the heuristic fails
-/// (dense logical graphs). The fallback is a [`Topology`](crate::Topology)
-/// hook: families without a native template (Pegasus, Zephyr, king's
-/// graph) return `None` from
-/// [`clique_embedding`](crate::Topology::clique_embedding), so the
-/// heuristic's error propagates instead of another family's template
-/// being silently borrowed. The fallback requires all template qubits to
-/// be active.
-///
-/// # Errors
-/// [`EmbedError`] when both strategies fail.
-pub fn find_embedding_or_clique<T: crate::Topology + ?Sized>(
-    edges: &[(usize, usize)],
-    num_vars: usize,
-    topology: &T,
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-) -> Result<Embedding, EmbedError> {
-    find_embedding_or_clique_with_stats(edges, num_vars, topology, hardware, options)
-        .map(|(e, _)| e)
-}
-
-/// [`find_embedding_or_clique`] that also reports routing-work counters.
-/// A clique-template fallback reports the nominal work of the failed
-/// heuristic attempts (`tries × rounds`).
-///
-/// The router itself ([`find_embedding_with_stats`] and its CSR
-/// `RouterScratch`) is already topology-generic — it sees only the
-/// [`HardwareGraph`] — so this wrapper is the single place the family
-/// matters.
-///
-/// # Errors
-/// Same as [`find_embedding_or_clique`].
-pub fn find_embedding_or_clique_with_stats<T: crate::Topology + ?Sized>(
-    edges: &[(usize, usize)],
-    num_vars: usize,
-    topology: &T,
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-) -> Result<(Embedding, EmbedStats), EmbedError> {
-    match find_embedding_with_stats(edges, num_vars, hardware, options) {
-        Ok(found) => Ok(found),
-        Err(err) => {
-            if let Some(embedding) = topology.clique_embedding(num_vars) {
-                if embedding.validate(edges, hardware) {
-                    let stats = EmbedStats {
-                        route_iterations: options.tries * options.rounds,
-                        restarts: options.tries,
-                        ..EmbedStats::default()
-                    };
-                    return Ok((embedding, stats));
-                }
-            }
-            Err(err)
-        }
-    }
 }
 
 /// `parent` sentinel: the node is a Dijkstra source (or unreached).
@@ -554,7 +560,7 @@ impl DijkstraLayer {
 }
 
 /// The router's reusable working set: allocated once per
-/// [`find_embedding`] call and shared by every
+/// [`embed`] search and shared by every
 /// Dijkstra invocation across all rounds and restarts.
 struct RouterScratch {
     /// CSR copy of the hardware adjacency restricted to **active**
@@ -1146,21 +1152,42 @@ mod tests {
         }
     }
 
+    /// The router core alone, without the clique fallback.
+    fn route(
+        edges: &[(usize, usize)],
+        num_vars: usize,
+        hardware: &HardwareGraph,
+        options: &EmbedOptions,
+    ) -> Result<Embedding, EmbedError> {
+        find_embedding_with_stats(edges, num_vars, hardware, options).map(|(e, _)| e)
+    }
+
+    /// `K_n` with unit ferromagnetic couplings.
+    fn complete(n: usize) -> Ising {
+        let mut model = Ising::new(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                model.add_j(i, j, -1.0);
+            }
+        }
+        model
+    }
+
     #[test]
     fn single_variable() {
         let hw = Chimera::new(1).graph();
-        let e = find_embedding(&[], 1, &hw, &opts(1)).unwrap();
+        let e = route(&[], 1, &hw, &opts(1)).unwrap();
         assert_eq!(e.num_vars(), 1);
         assert_eq!(e.num_physical_qubits(), 1);
-        assert!(e.validate(&[], &hw));
+        assert!(e.validate(&Ising::new(1), &hw));
     }
 
     #[test]
     fn edge_embeds_directly() {
         let hw = Chimera::new(1).graph();
         let edges = [(0, 1)];
-        let e = find_embedding(&edges, 2, &hw, &opts(2)).unwrap();
-        assert!(e.validate(&edges, &hw));
+        let e = route(&edges, 2, &hw, &opts(2)).unwrap();
+        assert!(e.validate(&complete(2), &hw));
         // An edge fits on adjacent qubits without chains.
         assert_eq!(e.num_physical_qubits(), 2);
     }
@@ -1170,77 +1197,63 @@ mod tests {
         // Chimera is bipartite: K3 requires at least one 2-qubit chain.
         let hw = Chimera::new(1).graph();
         let edges = [(0, 1), (1, 2), (0, 2)];
-        let e = find_embedding(&edges, 3, &hw, &opts(3)).unwrap();
-        assert!(e.validate(&edges, &hw));
+        let e = route(&edges, 3, &hw, &opts(3)).unwrap();
+        assert!(e.validate(&complete(3), &hw));
         assert!(e.num_physical_qubits() >= 4);
         assert!(e.max_chain_length() >= 2);
     }
 
     #[test]
     fn k5_embeds_in_one_cell_plus() {
-        let hw = Chimera::new(2).graph();
-        let mut edges = Vec::new();
-        for i in 0..5 {
-            for j in (i + 1)..5 {
-                edges.push((i, j));
-            }
-        }
-        let e = find_embedding(&edges, 5, &hw, &opts(4)).unwrap();
-        assert!(e.validate(&edges, &hw));
+        let chimera = Chimera::new(2);
+        let hw = chimera.graph();
+        let (e, _) = embed(&complete(5), &chimera, &hw, &opts(4), None).unwrap();
+        assert!(e.validate(&complete(5), &hw));
     }
 
     #[test]
     fn k8_embeds_in_c4_via_fallback() {
         let chimera = Chimera::new(4);
         let hw = chimera.graph();
-        let mut edges = Vec::new();
-        for i in 0..8 {
-            for j in (i + 1)..8 {
-                edges.push((i, j));
-            }
-        }
         let fast = EmbedOptions {
             tries: 2,
             rounds: 12,
             ..opts(5)
         };
-        let e = find_embedding_or_clique(&edges, 8, &chimera, &hw, &fast).unwrap();
-        assert!(e.validate(&edges, &hw));
+        let (e, _) = embed(&complete(8), &chimera, &hw, &fast, None).unwrap();
+        assert!(e.validate(&complete(8), &hw));
     }
 
     #[test]
     fn pegasus_has_no_chimera_template_and_uses_the_router() {
-        // Satellite regression: the clique fallback is a Topology hook.
-        // Pegasus returns None from clique_embedding, so a dense graph
-        // either routes heuristically on the *Pegasus* graph or fails
-        // outright — it must never come back as Chimera's triangle
-        // template (whose qubit indices mean something else entirely on
-        // a Pegasus fabric).
+        // The clique fallback is a Topology hook. Pegasus returns None
+        // from clique_embedding, so a dense graph either routes
+        // heuristically on the *Pegasus* graph or fails outright — it
+        // must never come back as Chimera's triangle template (whose
+        // qubit indices mean something else entirely on a Pegasus
+        // fabric).
         let pegasus = crate::Pegasus::new(2);
         let hw = pegasus.graph();
-        let mut edges = Vec::new();
-        for i in 0..6 {
-            for j in (i + 1)..6 {
-                edges.push((i, j));
-            }
-        }
         // K6 routes fine on P2 (degree 15): the hook returning None must
         // not prevent the heuristic from succeeding.
-        let e = find_embedding_or_clique(&edges, 6, &pegasus, &hw, &opts(3)).unwrap();
-        assert!(e.validate(&edges, &hw));
+        let (e, _) = embed(&complete(6), &pegasus, &hw, &opts(3), None).unwrap();
+        assert!(e.validate(&complete(6), &hw));
 
         // An impossible problem (more variables than qubits) must
         // surface the router's error — with no template to fall back
         // on, there is nothing to mask it.
         let n = pegasus.num_qubits() + 1;
-        let big: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let mut ring = Ising::new(n);
+        for i in 0..n {
+            ring.add_j(i, (i + 1) % n, 1.0);
+        }
         let fast = EmbedOptions {
             tries: 1,
             rounds: 4,
             ..opts(9)
         };
         assert!(matches!(
-            find_embedding_or_clique_with_stats(&big, n, &pegasus, &hw, &fast),
+            embed(&ring, &pegasus, &hw, &fast, None),
             Err(EmbedError::NoEmbeddingFound { .. })
         ));
     }
@@ -1251,14 +1264,8 @@ mod tests {
             let chimera = Chimera::new(m);
             let hw = chimera.graph();
             for n in [1usize, 4, 4 * m - 1, 4 * m] {
-                let mut edges = Vec::new();
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        edges.push((i, j));
-                    }
-                }
                 let e = chimera.clique_embedding(n).unwrap();
-                assert!(e.validate(&edges, &hw), "K{n} template on C{m}");
+                assert!(e.validate(&complete(n), &hw), "K{n} template on C{m}");
             }
             assert!(chimera.clique_embedding(4 * m + 1).is_none());
         }
@@ -1273,8 +1280,8 @@ mod tests {
             .filter(|&(a, b)| a != b)
             .map(|(a, b)| (a.min(b), a.max(b)))
             .collect();
-        let e = find_embedding(&edges, 12, &hw, &opts(6)).unwrap();
-        assert!(e.validate(&edges, &hw));
+        let e = route(&edges, 12, &hw, &opts(6)).unwrap();
+        assert!(e.validate_edges(&edges, &hw));
         // Dropped qubits are never used.
         for chain in e.chains() {
             for &q in chain {
@@ -1285,21 +1292,17 @@ mod tests {
 
     #[test]
     fn impossible_embedding_reports_failure() {
-        // K9 cannot fit in a single unit cell (8 qubits).
-        let hw = Chimera::new(1).graph();
-        let mut edges = Vec::new();
-        for i in 0..9 {
-            for j in (i + 1)..9 {
-                edges.push((i, j));
-            }
-        }
+        // K9 cannot fit in a single unit cell (8 qubits), and a C1 has
+        // no K9 template to fall back on.
+        let chimera = Chimera::new(1);
+        let hw = chimera.graph();
         let fast = EmbedOptions {
             tries: 2,
             rounds: 8,
             ..opts(8)
         };
         assert!(matches!(
-            find_embedding(&edges, 9, &hw, &fast),
+            embed(&complete(9), &chimera, &hw, &fast, None),
             Err(EmbedError::NoEmbeddingFound { .. })
         ));
     }
@@ -1308,18 +1311,13 @@ mod tests {
     fn randomized_qubit_counts_vary_by_seed() {
         // §6.1: "the number of physical qubits varies from compilation to
         // compilation" — different seeds should explore different embeddings.
-        let hw = Chimera::new(3).graph();
-        let mut edges = Vec::new();
-        for i in 0..7 {
-            for j in (i + 1)..7 {
-                edges.push((i, j));
-            }
-        }
         let chimera = Chimera::new(3);
+        let hw = chimera.graph();
         let counts: Vec<usize> = (0..6)
             .map(|s| {
-                find_embedding_or_clique(&edges, 7, &chimera, &hw, &opts(100 + s))
+                embed(&complete(7), &chimera, &hw, &opts(100 + s), None)
                     .unwrap()
+                    .0
                     .num_physical_qubits()
             })
             .collect();
@@ -1329,10 +1327,10 @@ mod tests {
 
     #[test]
     fn stats_count_routing_work() {
-        let hw = Chimera::new(2).graph();
-        let edges = [(0, 1), (1, 2), (0, 2)];
-        let (e, stats) = find_embedding_with_stats(&edges, 3, &hw, &opts(3)).unwrap();
-        assert!(e.validate(&edges, &hw));
+        let chimera = Chimera::new(2);
+        let hw = chimera.graph();
+        let (e, stats) = embed(&complete(3), &chimera, &hw, &opts(3), None).unwrap();
+        assert!(e.validate(&complete(3), &hw));
         assert!(stats.route_iterations >= 1, "at least one round ran");
         assert!(stats.restarts >= 1);
         assert!(!stats.cache_hit);
@@ -1349,8 +1347,46 @@ mod tests {
         hw.deactivate(0);
         hw.deactivate(1);
         assert_eq!(
-            find_embedding(&[(0, 1)], 2, &hw, &opts(9)),
+            route(&[(0, 1)], 2, &hw, &opts(9)),
             Err(EmbedError::EmptyHardware)
         );
+    }
+
+    #[test]
+    fn explicit_zero_couplings_are_not_routed() {
+        // A model and the same model with an explicit zero coupling are
+        // one routing problem: same chains, same work, same cache key.
+        let chimera = Chimera::new(2);
+        let hw = chimera.graph();
+        let options = opts(3);
+        let mut plain = Ising::new(4);
+        plain.add_j(0, 1, -1.0);
+        plain.add_j(1, 2, 0.5);
+        plain.add_j(2, 3, -0.25);
+        let mut zeroed = plain.clone();
+        zeroed.add_j(0, 3, 0.0);
+        assert_eq!(zeroed.num_couplings(), plain.num_couplings() + 1);
+
+        let (chains, stats) = embed(&plain, &chimera, &hw, &options, None).unwrap();
+        let (zero_chains, zero_stats) = embed(&zeroed, &chimera, &hw, &options, None).unwrap();
+        assert_eq!(chains, zero_chains);
+        assert_eq!(stats, zero_stats);
+        assert_eq!(
+            embedding_key(&plain, &chimera, &hw, &options),
+            embedding_key(&zeroed, &chimera, &hw, &options)
+        );
+        assert!(chains.validate(&zeroed, &hw));
+    }
+
+    #[test]
+    fn validate_rejects_a_chain_count_mismatch() {
+        // Too few chains used to index past the end; too many leave
+        // variables the model does not have.
+        let hw = Chimera::new(1).graph();
+        let model = complete(3);
+        let short = Embedding::from_chains(vec![vec![0], vec![4]]);
+        assert!(!short.validate(&model, &hw));
+        let long = Embedding::from_chains(vec![vec![0], vec![4], vec![1, 5], vec![2]]);
+        assert!(!long.validate(&model, &hw));
     }
 }

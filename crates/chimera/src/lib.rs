@@ -9,10 +9,11 @@
 //! * [`Topology`] — the pluggable hardware-family trait [`Chimera`]
 //!   implements, alongside [`Pegasus`], [`Zephyr`], and [`KingGraph`]
 //!   (with [`TopologySpec`] as the value-level choice options carry);
-//! * [`find_embedding`] — a randomized minor-embedding heuristic in the
-//!   style of Cai–Macready–Roy (the SAPI algorithm the paper uses, §4.4),
-//!   mapping each logical variable to a connected *chain* of physical
-//!   qubits;
+//! * [`embed`] — the one minor-embedding entry point: a randomized
+//!   heuristic in the style of Cai–Macready–Roy (the SAPI algorithm the
+//!   paper uses, §4.4), mapping each logical variable to a connected
+//!   *chain* of physical qubits, with an optional [`EmbeddingCache`] and
+//!   the topology's clique template as fallback;
 //! * [`embed_ising`] / [`unembed`] — applying an embedding to a logical
 //!   Ising model (distributing `h` over chains, placing `J` on physical
 //!   couplers, adding ferromagnetic intra-chain couplings) and decoding
@@ -21,12 +22,19 @@
 //! # Example
 //!
 //! ```
-//! use qac_chimera::{Chimera, find_embedding, EmbedOptions};
+//! use qac_chimera::{embed, Chimera, EmbedOptions};
+//! use qac_pbf::Ising;
 //!
 //! // Embed a triangle (which needs a chain: Chimera has no odd cycles).
-//! let hw = Chimera::new(2).graph();
-//! let edges = [(0, 1), (1, 2), (0, 2)];
-//! let embedding = find_embedding(&edges, 3, &hw, &EmbedOptions::default()).unwrap();
+//! let mut triangle = Ising::new(3);
+//! for (a, b) in [(0, 1), (1, 2), (0, 2)] {
+//!     triangle.add_j(a, b, -1.0);
+//! }
+//! let chimera = Chimera::new(2);
+//! let hw = chimera.graph();
+//! let (embedding, _) =
+//!     embed(&triangle, &chimera, &hw, &EmbedOptions::default(), None).unwrap();
+//! assert!(embedding.validate(&triangle, &hw));
 //! assert!(embedding.num_physical_qubits() >= 4); // ≥ one chain of 2
 //! ```
 
@@ -45,12 +53,9 @@ pub use apply::{
     choose_chain_strength, embed_ising, neighborhood_weights, unembed, unembed_by, ChainBreakStats,
     EmbeddedIsing,
 };
-pub use cache::{embedding_key, topology_embedding_key, CacheStats, EmbeddingCache};
+pub use cache::{embedding_key, CacheStats, EmbeddingCache};
 pub use chimera::Chimera;
-pub use embed::{
-    find_embedding, find_embedding_or_clique, find_embedding_or_clique_with_stats,
-    find_embedding_with_stats, EmbedError, EmbedOptions, EmbedStats, Embedding,
-};
+pub use embed::{embed, EmbedError, EmbedOptions, EmbedStats, Embedding};
 pub use graph::{CsrNeighbors, HardwareGraph};
 pub use witness::{chain_strength_bound, contraction_witness, ChainWitness};
 

@@ -174,9 +174,9 @@ const PEGASUS_OFFSETS: [usize; 12] = [2, 2, 2, 2, 6, 6, 6, 6, 10, 10, 10, 10];
 ///
 /// Couplers: *external* `z ~ z+1` along a wire, *odd* `2j ~ 2j+1` between
 /// track pairs, and twelve *internal* crossings per qubit determined by
-/// [`PEGASUS_OFFSETS`]. A P16 has 5760 nominal qubits (the Advantage
-/// fabric); the `8(m−1)` boundary wires whose crossings all fall off the
-/// fabric (tracks 0–1 at `w = 0`, tracks 10–11 at `w = m−1`) carry no
+/// the per-track offsets `[2, 2, 2, 2, 6, 6, 6, 6, 10, 10, 10, 10]`. A
+/// P16 has 5760 nominal qubits (the Advantage fabric); the `8(m−1)`
+/// boundary wires whose crossings all fall off the fabric (tracks 0–1 at `w = 0`, tracks 10–11 at `w = m−1`) carry no
 /// internal couplers and are deactivated in [`Pegasus::graph`], exactly
 /// as D-Wave trims them (P16: 5640 working qubits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -249,10 +249,7 @@ fn parse_into(
         // Weight / coupling.
         match tokens.len() {
             2 => {
-                let value: f64 = tokens[1].parse().map_err(|_| QmasmError::Parse {
-                    line,
-                    message: format!("bad weight `{}`", tokens[1]),
-                })?;
+                let value = parse_coefficient(tokens[1], "weight", line)?;
                 push(
                     program,
                     in_macro,
@@ -263,10 +260,7 @@ fn parse_into(
                 );
             }
             3 => {
-                let value: f64 = tokens[2].parse().map_err(|_| QmasmError::Parse {
-                    line,
-                    message: format!("bad strength `{}`", tokens[2]),
-                })?;
+                let value = parse_coefficient(tokens[2], "strength", line)?;
                 push(
                     program,
                     in_macro,
@@ -286,6 +280,19 @@ fn parse_into(
         }
     }
     Ok(())
+}
+
+/// Parses a weight or coupling strength. Rust's float parser accepts
+/// `nan`, `inf` and overflowing literals such as `1e400`; none is a
+/// coefficient the model can hold, so each is a parse error.
+fn parse_coefficient(token: &str, what: &str, line: usize) -> Result<f64, QmasmError> {
+    match token.parse::<f64>() {
+        Ok(value) if value.is_finite() => Ok(value),
+        _ => Err(QmasmError::Parse {
+            line,
+            message: format!("bad {what} `{token}`: not a finite number"),
+        }),
+    }
 }
 
 fn push(program: &mut Program, in_macro: &mut Option<(String, Vec<Statement>)>, stmt: Statement) {

@@ -421,9 +421,7 @@ mod tests {
     use super::*;
     use crate::dwave_sim::distort;
     use crate::{DWaveSimOptions, Sampler};
-    use qac_chimera::{
-        embed_ising, find_embedding_or_clique_with_stats, EmbedOptions, Topology, TopologySpec,
-    };
+    use qac_chimera::{embed, embed_ising, EmbedOptions, Topology, TopologySpec};
     use qac_pbf::scale::scale_to_range;
 
     /// The full-fabric kernel, the oracle the compact one must match bit
@@ -562,15 +560,8 @@ mod tests {
         };
         let range = spec.coefficient_range();
         let scaled = scale_to_range(&logical, range).model;
-        let edges: Vec<(usize, usize)> = scaled.j_iter().map(|t| (t.i, t.j)).collect();
-        let (embedding, _) = find_embedding_or_clique_with_stats(
-            &edges,
-            n,
-            &spec,
-            &hardware,
-            &EmbedOptions::default(),
-        )
-        .unwrap();
+        let (embedding, _) =
+            embed(&logical, &spec, &hardware, &EmbedOptions::default(), None).unwrap();
         let strength = spec.chain_strength(None, scaled.max_abs_j());
         let embedded = embed_ising(&scaled, &embedding, &hardware, strength);
         let physical = scale_to_range(&embedded.physical, range).model;

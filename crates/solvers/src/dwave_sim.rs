@@ -22,8 +22,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qac_chimera::{
-    embed_ising, find_embedding_or_clique_with_stats, EmbedError, EmbedOptions, EmbedStats,
-    Embedding, EmbeddingCache, Topology, TopologySpec,
+    embed, embed_ising, EmbedError, EmbedOptions, EmbedStats, Embedding, EmbeddingCache, Topology,
+    TopologySpec,
 };
 use qac_pbf::scale::{quantize, scale_to_range, CoefficientRange};
 use qac_pbf::Ising;
@@ -210,33 +210,20 @@ impl DWaveSim {
             |scaled| (scaled.model.num_terms(1e-12), 0),
         );
 
-        // 2. Embed — optionally through the shared cache.
+        // 2. Embed — optionally through the shared cache. The router's
+        // work counters (labeled by fabric) are machine-independent, so
+        // CI can put a hard budget on them.
         let (embedding, embed_stats) = trace.try_stage(
             "sample:embed",
-            scaled.model.num_vars(),
+            logical.num_vars(),
             || {
-                let edges: Vec<(usize, usize)> =
-                    scaled.model.j_iter().map(|t| (t.i, t.j)).collect();
-                let num_vars = scaled.model.num_vars();
-                let search = || {
-                    find_embedding_or_clique_with_stats(
-                        &edges, num_vars, &topology, &hardware, &o.embed,
-                    )
-                };
-                let (embedding, stats) = match &o.embedding_cache {
-                    Some(cache) => cache.get_or_embed_on(
-                        &topology, &edges, num_vars, &o.embed, &hardware, search,
-                    )?,
-                    None => search()?,
-                };
-                // Machine-independent routing-work counters: wall time
-                // drifts with the host, these only drift if the router
-                // actually does more work, so CI can put a hard budget
-                // on them. Each counter has an unlabeled aggregate and a
-                // `{topology="family"}` variant so budgets can be set per
-                // fabric.
-                stats.export_topology_counters(topology.family());
-                Ok((embedding, stats))
+                embed(
+                    logical,
+                    &topology,
+                    &hardware,
+                    &o.embed,
+                    o.embedding_cache.as_deref(),
+                )
             },
             |(embedding, stats)| (embedding.num_physical_qubits(), stats.restarts),
         )?;
@@ -506,10 +493,8 @@ mod tests {
             let result = DWaveSim::new(opts).run(&m, 50).unwrap();
             let best = result.logical.best().unwrap();
             assert_eq!(best.spins, vec![Spin::Up; 4], "{spec:?} missed ground");
-            let hardware = spec.graph();
-            let edges = [(0, 1), (1, 2), (2, 3)];
             assert!(
-                result.embedding.validate(&edges, &hardware),
+                result.embedding.validate(&m, &spec.graph()),
                 "{spec:?} produced an invalid embedding"
             );
         }

@@ -200,7 +200,7 @@ impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
             .field("enabled", &self.is_enabled())
-            .field("capacity", &self.capacity())
+            .field("capacity", &self.slots.len())
             .field("recorded", &self.cursor.load(Ordering::Relaxed))
             .finish()
     }
@@ -229,11 +229,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Number of slots in the ring.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Whether recording is on (it is, unless [`FlightRecorder::disable`]
     /// was called — the flight recorder is always-on by design).
     pub fn is_enabled(&self) -> bool {
@@ -248,11 +243,6 @@ impl FlightRecorder {
     /// Turns recording back on.
     pub fn enable(&self) {
         self.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Total events ever recorded (≥ the number still resident).
-    pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
     }
 
     /// Records an event under the thread's current trace scope.
@@ -427,7 +417,8 @@ mod tests {
         assert_eq!(values, [6.0, 7.0, 8.0, 9.0], "oldest evicted first");
         let resident: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(resident, [names[0], names[1], names[0], names[1]]);
-        assert_eq!(flight.recorded(), 10);
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [6, 7, 8, 9], "all ten events were sequenced");
     }
 
     #[test]
@@ -459,10 +450,14 @@ mod tests {
         flight.disable();
         flight.record(FlightKind::StageBegin, "s", 0.0);
         assert!(flight.events().is_empty());
-        assert_eq!(flight.recorded(), 0);
         flight.enable();
         flight.record(FlightKind::StageBegin, "s", 0.0);
-        assert_eq!(flight.events().len(), 1);
+        let events = flight.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            events[0].seq, 0,
+            "the dropped event took no sequence number"
+        );
     }
 
     #[test]
@@ -473,7 +468,8 @@ mod tests {
         // one from the newest half of the stream — wraparound may race
         // (reserve and publish are two steps) but must never resurrect
         // old events over newer ones or tear a slot.
-        let flight = FlightRecorder::with_capacity(64);
+        let capacity = 64usize;
+        let flight = FlightRecorder::with_capacity(capacity);
         let threads = 8usize;
         let per_thread = 4000usize;
         std::thread::scope(|scope| {
@@ -493,16 +489,18 @@ mod tests {
             }
         });
         let total = (threads * per_thread) as u64;
-        assert_eq!(flight.recorded(), total, "every reserve counted");
         let events = flight.events();
-        assert_eq!(events.len(), flight.capacity(), "ring stays full");
+        assert_eq!(events.len(), capacity, "ring stays full");
         let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        // The newest reservation is resident (no older writer overwrites
+        // a newer event), so its seq shows every reserve was counted.
+        assert_eq!(seqs.last(), Some(&(total - 1)), "every reserve counted");
         seqs.dedup();
-        assert_eq!(seqs.len(), flight.capacity(), "no duplicated slots");
+        assert_eq!(seqs.len(), capacity, "no duplicated slots");
         // Every resident event is from the most recent `2 × capacity`
         // reservations: a slot can lag by at most one lap of the ring
         // (an in-flight writer that was lapped), never more.
-        let horizon = total.saturating_sub(2 * flight.capacity() as u64);
+        let horizon = total.saturating_sub(2 * capacity as u64);
         for event in &events {
             assert!(
                 event.seq >= horizon,

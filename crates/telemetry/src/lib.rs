@@ -23,7 +23,7 @@
 //! * [`flight`] — the always-on **flight recorder**: a bounded ring of
 //!   structured events tagged with job-scoped trace ids, dumpable as
 //!   JSONL for post-mortems without re-running;
-//! * [`sketch`] — streaming, mergeable **quantile sketches** (p50 / p90
+//! * [`sketch`] — streaming **quantile sketches** (p50 / p90
 //!   / p99) alongside the fixed-bucket histograms.
 //!
 //! Instrumented code uses the process-wide [`global()`] recorder so no

@@ -1,13 +1,11 @@
-//! Streaming, mergeable quantile sketches.
+//! Streaming quantile sketches.
 //!
 //! Fixed-bucket histograms answer "how many reads landed below energy
 //! −4" but cannot answer "what was the p99 queue wait" without choosing
 //! the bucket boundaries in advance. A [`QuantileSketch`] keeps a
 //! bounded, weighted sample of the stream (an MRL/KLL-style compactor
 //! ladder) from which any quantile can be queried within a rank error
-//! of roughly `1/k`, and two sketches merge losslessly — per-worker or
-//! per-arm sketches combine into a job-level p50/p90/p99 without
-//! shipping raw reads around.
+//! of roughly `1/k`, in bounded memory whatever the stream length.
 //!
 //! The compactor is **deterministic**: instead of randomized coin flips
 //! it keeps alternating parity survivors per compaction, so the same
@@ -32,7 +30,7 @@
 /// tolerances CI budgets use.
 const LEVEL_CAPACITY: usize = 256;
 
-/// A deterministic, mergeable quantile sketch.
+/// A deterministic quantile sketch.
 ///
 /// Level `i` holds values with weight `2^i`. Observations enter level 0;
 /// when a level overflows it is sorted and every other element is
@@ -77,7 +75,7 @@ impl QuantileSketch {
             self.parity.push(false);
         }
         self.levels[0].push(value);
-        self.compact_from(0);
+        self.compact();
     }
 
     /// Records `n` identical observations.
@@ -141,31 +139,10 @@ impl QuantileSketch {
         Some(self.max)
     }
 
-    /// Absorbs every observation of `other` (level-wise concatenation,
-    /// then re-compaction), losing no more precision than if both
-    /// streams had been observed by one sketch.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        if other.count == 0 {
-            return;
-        }
-        while self.levels.len() < other.levels.len() {
-            self.levels.push(Vec::new());
-            self.parity.push(false);
-        }
-        for (level, values) in other.levels.iter().enumerate() {
-            self.levels[level].extend_from_slice(values);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.compact_from(0);
-    }
-
-    /// Compacts any overflowing level starting at `level` (an overflow
-    /// promotes into the next level, which may itself overflow).
-    fn compact_from(&mut self, level: usize) {
-        let mut level = level;
+    /// Compacts any overflowing level (an overflow promotes into the
+    /// next level, which may itself overflow).
+    fn compact(&mut self) {
+        let mut level = 0;
         while level < self.levels.len() {
             if self.levels[level].len() <= LEVEL_CAPACITY {
                 level += 1;
@@ -263,36 +240,6 @@ mod tests {
             s
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn merge_matches_observing_both_streams() {
-        let n = 20_000u64;
-        let mut left = QuantileSketch::new();
-        let mut right = QuantileSketch::new();
-        for i in 0..n {
-            if i % 2 == 0 {
-                left.observe(mixed(i));
-            } else {
-                right.observe(mixed(i));
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), n);
-        let mut exact: Vec<f64> = (0..n).map(mixed).collect();
-        exact.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for q in [0.5, 0.9, 0.99] {
-            let estimate = left.quantile(q).unwrap();
-            let rank = exact.partition_point(|&v| v < estimate) as f64 / n as f64;
-            assert!(
-                (rank - q).abs() < 0.03,
-                "merged p{q}: estimate {estimate} sits at rank {rank}"
-            );
-        }
-        // Merging an empty sketch is a no-op.
-        let before = left.clone();
-        left.merge(&QuantileSketch::new());
-        assert_eq!(left, before);
     }
 
     #[test]

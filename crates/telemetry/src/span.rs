@@ -246,11 +246,6 @@ impl SpanGuard<'_> {
         }
     }
 
-    /// Whether this guard will record anything.
-    pub fn is_active(&self) -> bool {
-        self.recorder.is_some()
-    }
-
     /// Attaches a numeric attribute (artifact size, retry count, …).
     pub fn arg(&mut self, name: &str, value: f64) {
         if self.recorder.is_some() {
@@ -292,12 +287,15 @@ mod tests {
         let recorder = Recorder::new();
         {
             let mut span = recorder.span("ignored");
-            assert!(!span.is_active());
             span.arg("size", 1.0);
             recorder.counter_add("c", 1);
             recorder.gauge_set("g", 1.0);
             recorder.observe("h", 1.0);
         }
+        assert!(
+            recorder.spans().is_empty(),
+            "the inert guard recorded nothing"
+        );
         let snapshot = recorder.snapshot();
         assert!(snapshot.spans.is_empty());
         assert!(snapshot.counters.is_empty());

@@ -3,7 +3,7 @@
 //! certificate with one logical `h` or `J` coefficient nudged is
 //! rejected at exactly that term.
 
-use qac::chimera::{chain_strength_bound, embed_ising, find_embedding, Chimera, EmbedOptions};
+use qac::chimera::{chain_strength_bound, embed, embed_ising, Chimera, EmbedOptions};
 use qac::core::{
     backend_obligation, compile, verify_certificate, CertIssue, CompileCertificate, CompileOptions,
     IssueKind,
@@ -22,13 +22,13 @@ endmodule
 fn figure2_certificate() -> CompileCertificate {
     let compiled = compile(FIGURE2, "circuit", &CompileOptions::default()).unwrap();
     let logical = &compiled.assembled.ising;
-    let edges: Vec<(usize, usize)> = logical.j_iter().map(|t| (t.i, t.j)).collect();
-    let hardware = Chimera::new(4).graph();
+    let chimera = Chimera::new(4);
+    let hardware = chimera.graph();
     let options = EmbedOptions {
         seed: 11,
         ..Default::default()
     };
-    let embedding = find_embedding(&edges, logical.num_vars(), &hardware, &options).unwrap();
+    let (embedding, _) = embed(logical, &chimera, &hardware, &options, None).unwrap();
     let strength = chain_strength_bound(logical).max(1.0);
     let embedded = embed_ising(logical, &embedding, &hardware, strength);
     let mut certificate = compiled.certificate.clone().expect("certification is on");
