@@ -41,6 +41,17 @@ cargo build --release
 echo "==> cargo test -q (tier-1, root package)"
 cargo test -q
 
+echo "==> examples (the public compile -> run path, end to end)"
+# Each example checks its own answers and prints `<name>: OK` last.
+for example in quickstart counter circsat factor map_color; do
+    output="$(cargo run --release -q --example "$example")"
+    if ! grep -qxF "$example: OK" <<< "$output"; then
+        echo "$output" >&2
+        echo "ERROR: example $example did not print '$example: OK'" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo test -q --workspace --release"
 cargo test -q --workspace --release
 

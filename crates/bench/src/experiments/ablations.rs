@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use qac_chimera::{embed, Chimera, EmbedOptions, EmbeddingCache};
-use qac_core::{compile, CompileOptions};
+use qac_core::{compile, CompileOptions, RunOptions, SolverChoice};
 use qac_pbf::roof::apply_roof_duality;
 use qac_pbf::Ising;
 use qac_qmasm::PinStyle;
@@ -18,11 +18,6 @@ use crate::{compile_workload, AUSTRALIA, FIGURE2};
 pub fn run_ablation_chain() {
     println!("== A1: chain strength vs chain breaks and solution validity ==\n");
     let compiled = compile_workload(AUSTRALIA, "australia");
-    let pinned = compiled
-        .assembled
-        .pinned_model(&[("valid".to_string(), true)], PinStyle::Bias(4.0))
-        .expect("pin resolves");
-    let expected = compiled.expected_ground_energy - 4.0;
 
     // One shared embedding cache across the sweep: chain strength is
     // deliberately not part of the cache key, so every strength reuses
@@ -34,26 +29,25 @@ pub fn run_ablation_chain() {
         "chain strength", "chain breaks", "valid fraction"
     );
     for strength in [0.25, 0.5, 1.0, 2.0] {
-        let sim = DWaveSim::new(DWaveSimOptions {
+        let sim = DWaveSimOptions {
             topology: qac_solvers::TopologySpec::Chimera { m: 16 },
             chain_strength: Some(strength),
             anneal_sweeps: 256,
             embedding_cache: Some(Arc::clone(&cache)),
             ..Default::default()
-        });
-        let reads = 400;
-        let result = sim.run(&pinned, reads).expect("embeds");
-        let valid: usize = result
-            .logical
-            .iter()
-            .filter(|s| (s.energy - expected).abs() < 1e-6)
-            .map(|s| s.occurrences)
-            .sum();
+        };
+        let run = RunOptions::new()
+            .pin("valid := 1")
+            .pin_weight(4.0)
+            .solver(SolverChoice::DWave(Box::new(sim)))
+            .num_reads(400);
+        let outcome = compiled.run(&run).expect("embeds");
+        let hardware = outcome.hardware.expect("the hardware model ran");
         println!(
             "{:>14.2} {:>14.3} {:>16.3}",
             strength,
-            result.mean_chain_breaks,
-            valid as f64 / reads as f64
+            hardware.chain_breaks,
+            outcome.valid_fraction()
         );
     }
     println!(

@@ -4,8 +4,9 @@
 use std::time::Instant;
 
 use qac_chimera::{embed, embed_ising, Chimera, EmbedOptions};
+use qac_core::{RunOptions, SolverChoice};
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
-use qac_solvers::{DWaveSim, DWaveSimOptions, TimingModel};
+use qac_solvers::{DWaveSimOptions, TimingModel};
 
 use crate::{compile_workload, handcoded_australia_unary, mean_std, AUSTRALIA};
 
@@ -153,34 +154,26 @@ pub fn run_sec6_2() {
     // Valid fraction measured on the hardware model, then extrapolated to
     // the paper's 1e6 anneals with its timing model.
     let compiled = compile_workload(AUSTRALIA, "australia");
-    let pinned = {
-        use qac_qmasm::PinStyle;
-        compiled
-            .assembled
-            .pinned_model(&[("valid".to_string(), true)], PinStyle::Bias(4.0))
-            .expect("pin resolves")
-    };
-    let sim = DWaveSim::new(DWaveSimOptions {
+    let sim = DWaveSimOptions {
         topology: qac_solvers::TopologySpec::Chimera { m: 16 },
         anneal_sweeps: 256,
         chain_strength: Some(1.5),
         ..Default::default()
-    });
+    };
     let reads = 2000usize;
-    let result = sim.run(&pinned, reads).expect("embeds on 2000Q");
+    let run = RunOptions::new()
+        .pin("valid := 1")
+        .pin_weight(4.0)
+        .solver(SolverChoice::DWave(Box::new(sim)))
+        .num_reads(reads);
+    let outcome = compiled.run(&run).expect("embeds on 2000Q");
+    let hardware = outcome.hardware.expect("the hardware model ran");
     // A read is a "solution" when it decodes to a valid execution of the
     // verifier at the expected ground energy.
-    let expected = compiled.expected_ground_energy - 4.0; // pin adds −weight
-    let valid_reads: usize = result
-        .logical
-        .iter()
-        .filter(|s| (s.energy - expected).abs() < 1e-6)
-        .map(|s| s.occurrences)
-        .sum();
-    let valid_fraction = valid_reads as f64 / reads as f64;
+    let valid_fraction = outcome.valid_fraction();
     println!(
         "hardware model: {} physical qubits, chain breaks {:.3}",
-        result.physical_qubits, result.mean_chain_breaks
+        hardware.physical_qubits, hardware.chain_breaks
     );
     println!("valid-solution fraction over {reads} reads: {valid_fraction:.3}");
 

@@ -38,7 +38,6 @@ use qac_netlist::{cut_functions_filtered, CutFunction, Netlist};
 use qac_qmasm::{macro_sites, Ising, Program, Statement};
 use qac_telemetry::FlightKind;
 
-use crate::stage::Stage;
 use crate::CompileError;
 
 /// Counter bumped once per obligation whose proof data was enumerated
@@ -62,51 +61,18 @@ pub(crate) struct CertifyOutput {
     pub(crate) reused: usize,
 }
 
-/// The tenth pipeline stage: build the certificate, then check it.
-pub(crate) struct CertifyStage<'a> {
-    /// Post-unroll, pre-optimization netlist.
-    pub(crate) source: &'a Netlist,
-    /// Post-EDIF netlist — the one QMASM generation consumed.
-    pub(crate) optimized: &'a Netlist,
-    /// The parsed program (with `stdcell.qmasm` macros resolved).
-    pub(crate) program: &'a Program,
-    /// The verified Table 5 cell library (for pin roles).
-    pub(crate) library: &'a CellLibrary,
-    /// Previous certificate, when recompiling incrementally.
-    pub(crate) prev: Option<&'a CompileCertificate>,
-}
-
-impl Stage for CertifyStage<'_> {
-    type Input = ();
-    type Output = CertifyOutput;
-    fn name(&self) -> &'static str {
-        "certify"
-    }
-    fn run(&self, (): ()) -> Result<CertifyOutput, CompileError> {
-        let out = build_certificate(
-            self.source,
-            self.optimized,
-            self.program,
-            self.library,
-            self.prev,
-        )?;
-        enforce(&out.certificate)?;
-        Ok(out)
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.source.cells().len() + self.optimized.cells().len()
-    }
-    fn output_size(&self, out: &CertifyOutput) -> usize {
-        out.certificate.num_obligations()
-    }
-}
-
-/// Builds the front-end and macro obligations (the back end is attached
-/// at embed time). The certificate is byte-deterministic: obligations
-/// reused from `prev` are byte-identical to a fresh enumeration because
-/// the reuse keys (cone fingerprints, macro bodies) determine the proof
-/// data completely.
-pub(crate) fn build_certificate(
+/// The tenth pipeline stage: builds the front-end and macro obligations
+/// (the back end is attached at embed time), then checks them.
+///
+/// `source` is the post-unroll, pre-optimization netlist; `optimized`
+/// the post-EDIF netlist QMASM generation consumed; `program` the parsed
+/// program (with `stdcell.qmasm` macros resolved); `library` the
+/// verified Table 5 cell library (for pin roles); and `prev` the
+/// previous certificate, when recompiling incrementally. The
+/// certificate is byte-deterministic: obligations reused from `prev` are
+/// byte-identical to a fresh enumeration because the reuse keys (cone
+/// fingerprints, macro bodies) determine the proof data completely.
+pub(crate) fn certify(
     source: &Netlist,
     optimized: &Netlist,
     program: &Program,
@@ -138,6 +104,7 @@ pub(crate) fn build_certificate(
     let telemetry = qac_telemetry::global();
     telemetry.counter_add(PROVED_COUNTER, proved as u64);
     telemetry.counter_add(SKIPPED_COUNTER, (reused + unproven) as u64);
+    enforce(&certificate)?;
     Ok(CertifyOutput {
         certificate,
         proved,
@@ -148,7 +115,7 @@ pub(crate) fn build_certificate(
 /// Runs the independent checker; error-severity issues abort the
 /// compile as [`CompileError::Analysis`] and leave a flight-recorder
 /// event for the post-mortem.
-pub(crate) fn enforce(certificate: &CompileCertificate) -> Result<(), CompileError> {
+fn enforce(certificate: &CompileCertificate) -> Result<(), CompileError> {
     let mut span = qac_telemetry::global().span("certify:check");
     let issues = qac_cert::verify_certificate(certificate);
     let errors = issues.iter().filter(|i| i.kind.is_error()).count();

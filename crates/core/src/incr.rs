@@ -23,9 +23,9 @@
 
 use qac_cert::CompileCertificate;
 use qac_netlist::{Fnv, Netlist};
+use qac_telemetry::Trace;
 
 use crate::pipeline::{compile_netlist_from, compile_source, CertReuse};
-use crate::stage::Session;
 use crate::{CompileError, CompileOptions, Compiled};
 
 /// Keys recorded on every [`Compiled`], consumed by
@@ -192,12 +192,13 @@ fn recompile(
 
 /// The entry key matched: replay every stage of the previous compile.
 fn replay_all(prev: &Compiled, options: &CompileOptions) -> (Compiled, IncrementalReport) {
-    let mut session = Session::new();
+    let mut trace = Trace::new();
     for stage in prev.trace.stages() {
-        session.skip_named(&stage.name, stage.output_size);
+        trace.skip(&stage.name, stage.output_size);
     }
+    qac_telemetry::global().counter_add("qac_incr_stage_hit_total", trace.len() as u64);
     let mut out = prev.clone();
-    out.trace = session.finish();
+    out.trace = trace;
     // Keep the caller's options: embed settings may differ without
     // perturbing the compile key.
     out.options = options.clone();

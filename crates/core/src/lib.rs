@@ -53,7 +53,6 @@ mod incr;
 mod pipeline;
 mod qmasm_gen;
 mod run;
-mod stage;
 
 pub use certify::{
     backend_obligation, certificate_diagnostics, model_terms,
@@ -71,7 +70,6 @@ pub use run::{
     HardwareStats, PinRealization, QualityReport, RunOptions, RunOutcome, SolvedSample,
     SolverChoice,
 };
-pub use stage::{Session, Stage};
 
 pub use qac_netlist::unroll::InitialState;
 

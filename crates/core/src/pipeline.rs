@@ -2,11 +2,11 @@
 //! Ising model, with every intermediate artifact retained (the §6.1
 //! static-properties experiment measures them).
 //!
-//! The pipeline is an explicit sequence of [`Stage`]s executed by a
-//! [`Session`]: each step — unroll, optimize, the EDIF round trip,
-//! QMASM generation, parsing, assembly — is a named stage whose wall
-//! time and artifact sizes are recorded into the [`Trace`] carried on
-//! [`Compiled`].
+//! The pipeline is an explicit sequence of named stages — Verilog
+//! parsing, unroll, optimize, the EDIF round trip, QMASM generation,
+//! parsing, assembly, analysis and certification — each one
+//! [`Trace::try_stage`] call, which records its wall time and artifact
+//! sizes into the [`Trace`] carried on [`Compiled`].
 
 use qac_analysis::{analyze_assembled, AnalysisOptions, AnalysisReport, Diagnostics};
 use qac_cert::CompileCertificate;
@@ -15,12 +15,12 @@ use qac_edif::{from_edif, to_edif};
 use qac_gatesynth::CellLibrary;
 use qac_netlist::unroll::{unroll, InitialState};
 use qac_netlist::{opt, Netlist, NetlistStats};
-use qac_qmasm::{assemble, parse, stdcell_qmasm, AssembleOptions, Assembled, MapIncludes, Program};
+use qac_qmasm::{assemble, parse, stdcell_qmasm, AssembleOptions, Assembled, MapIncludes};
 use qac_telemetry::Trace;
 
+use crate::certify::certify;
 use crate::incr::{EntryKey, IncrState};
 use crate::qmasm_gen::netlist_to_qmasm;
-use crate::stage::{Session, Stage};
 use crate::CompileError;
 
 /// Options controlling compilation.
@@ -128,237 +128,6 @@ impl Compiled {
     }
 }
 
-// ---------------------------------------------------------------------
-// Stages
-// ---------------------------------------------------------------------
-
-/// Verilog source → netlist (the Yosys role).
-struct VerilogStage<'a> {
-    source: &'a str,
-    top: &'a str,
-}
-
-impl Stage for VerilogStage<'_> {
-    type Input = ();
-    type Output = Netlist;
-    fn name(&self) -> &'static str {
-        "verilog-parse"
-    }
-    fn run(&self, (): ()) -> Result<Netlist, CompileError> {
-        Ok(qac_verilog::compile(self.source, self.top)?)
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.source.len()
-    }
-    fn output_size(&self, netlist: &Netlist) -> usize {
-        netlist.cells().len()
-    }
-}
-
-/// Time-unrolls sequential logic (§4.3.3); identity when no step count
-/// was requested.
-struct UnrollStage {
-    steps: Option<usize>,
-    initial: InitialState,
-}
-
-impl Stage for UnrollStage {
-    type Input = Netlist;
-    type Output = Netlist;
-    fn name(&self) -> &'static str {
-        "unroll"
-    }
-    fn run(&self, netlist: Netlist) -> Result<Netlist, CompileError> {
-        match self.steps {
-            Some(0) => Err(CompileError::Pipeline(
-                "unroll_steps must be at least 1".into(),
-            )),
-            Some(steps) => Ok(unroll(&netlist, steps, self.initial)),
-            None => Ok(netlist),
-        }
-    }
-    fn input_size(&self, netlist: &Netlist) -> usize {
-        netlist.cells().len()
-    }
-    fn output_size(&self, netlist: &Netlist) -> usize {
-        netlist.cells().len()
-    }
-}
-
-/// Gate-level optimization (the ABC role) plus validation.
-struct OptimizeStage {
-    opt_level: u8,
-}
-
-impl Stage for OptimizeStage {
-    type Input = Netlist;
-    type Output = Netlist;
-    fn name(&self) -> &'static str {
-        "optimize"
-    }
-    fn run(&self, mut netlist: Netlist) -> Result<Netlist, CompileError> {
-        if self.opt_level >= 2 {
-            opt::optimize(&mut netlist);
-        } else if self.opt_level == 1 {
-            opt::merge_buffers(&mut netlist);
-            opt::eliminate_dead(&mut netlist);
-        }
-        netlist.validate()?;
-        Ok(netlist)
-    }
-    fn input_size(&self, netlist: &Netlist) -> usize {
-        netlist.cells().len()
-    }
-    fn output_size(&self, netlist: &Netlist) -> usize {
-        netlist.cells().len()
-    }
-}
-
-/// Netlist → EDIF text.
-struct EdifWriteStage;
-
-impl Stage for EdifWriteStage {
-    type Input = Netlist;
-    type Output = String;
-    fn name(&self) -> &'static str {
-        "edif-write"
-    }
-    fn run(&self, netlist: Netlist) -> Result<String, CompileError> {
-        Ok(to_edif(&netlist))
-    }
-    fn input_size(&self, netlist: &Netlist) -> usize {
-        netlist.cells().len()
-    }
-    fn output_size(&self, edif: &String) -> usize {
-        edif.len()
-    }
-}
-
-/// EDIF text → netlist (the round trip the original toolchain takes).
-struct EdifReadStage<'a> {
-    edif: &'a str,
-}
-
-impl Stage for EdifReadStage<'_> {
-    type Input = ();
-    type Output = Netlist;
-    fn name(&self) -> &'static str {
-        "edif-read"
-    }
-    fn run(&self, (): ()) -> Result<Netlist, CompileError> {
-        Ok(from_edif(self.edif)?)
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.edif.len()
-    }
-    fn output_size(&self, netlist: &Netlist) -> usize {
-        netlist.cells().len()
-    }
-}
-
-/// Netlist → QMASM program text + standard-cell library text (the
-/// `edif2qmasm` role).
-struct QmasmGenStage<'a> {
-    netlist: &'a Netlist,
-    library: &'a CellLibrary,
-}
-
-impl Stage for QmasmGenStage<'_> {
-    type Input = ();
-    type Output = (String, String);
-    fn name(&self) -> &'static str {
-        "qmasm-gen"
-    }
-    fn run(&self, (): ()) -> Result<(String, String), CompileError> {
-        Ok((netlist_to_qmasm(self.netlist), stdcell_qmasm(self.library)))
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.netlist.cells().len()
-    }
-    fn output_size(&self, (qmasm, stdcell): &(String, String)) -> usize {
-        qmasm.len() + stdcell.len()
-    }
-}
-
-/// QMASM text → parsed program.
-struct QmasmParseStage<'a> {
-    qmasm: &'a str,
-    includes: &'a MapIncludes,
-}
-
-impl Stage for QmasmParseStage<'_> {
-    type Input = ();
-    type Output = Program;
-    fn name(&self) -> &'static str {
-        "qmasm-parse"
-    }
-    fn run(&self, (): ()) -> Result<Program, CompileError> {
-        Ok(parse(self.qmasm, self.includes)?)
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.qmasm.len()
-    }
-    fn output_size(&self, program: &Program) -> usize {
-        program.statements.len()
-    }
-}
-
-/// Parsed program → assembled logical Ising model.
-struct AssembleStage<'a> {
-    program: &'a Program,
-    options: AssembleOptions,
-}
-
-impl Stage for AssembleStage<'_> {
-    type Input = ();
-    type Output = Assembled;
-    fn name(&self) -> &'static str {
-        "assemble"
-    }
-    fn run(&self, (): ()) -> Result<Assembled, CompileError> {
-        Ok(assemble(self.program, &self.options)?)
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.program.statements.len()
-    }
-    fn output_size(&self, assembled: &Assembled) -> usize {
-        assembled.ising.num_terms(1e-12)
-    }
-}
-
-/// Assembled model → static-analysis report (lint passes, §6-style
-/// model audits). Error-severity diagnostics abort compilation.
-struct AnalyzeStage<'a> {
-    assembled: &'a Assembled,
-    program: &'a Program,
-    options: &'a AnalysisOptions,
-}
-
-impl Stage for AnalyzeStage<'_> {
-    type Input = ();
-    type Output = AnalysisReport;
-    fn name(&self) -> &'static str {
-        "analyze"
-    }
-    fn run(&self, (): ()) -> Result<AnalysisReport, CompileError> {
-        Ok(analyze_assembled(
-            self.assembled,
-            Some(self.program),
-            self.options,
-        ))
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.assembled.ising.num_terms(1e-12)
-    }
-    fn output_size(&self, report: &AnalysisReport) -> usize {
-        report.diagnostics.len()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Drivers
-// ---------------------------------------------------------------------
-
 /// Compiles Verilog source to a logical Ising program.
 ///
 /// # Errors
@@ -389,19 +158,25 @@ pub fn compile_netlist(
 pub(crate) type CertReuse = Option<(usize, usize)>;
 
 /// [`compile`], optionally re-using a previous certificate (see
-/// [`compile_netlist_in_session`]).
+/// [`compile_netlist_traced`]).
 pub(crate) fn compile_source(
     source: &str,
     top: &str,
     options: &CompileOptions,
     prev_certificate: Option<&CompileCertificate>,
 ) -> Result<(Compiled, CertReuse), CompileError> {
-    let mut session = Session::new();
-    let netlist = session.run(&VerilogStage { source, top }, ())?;
+    let mut trace = Trace::new();
+    // Verilog source → netlist (the Yosys role).
+    let netlist = trace.try_stage(
+        "verilog-parse",
+        source.len(),
+        || qac_verilog::compile(source, top),
+        |netlist| (netlist.cells().len(), 0),
+    )?;
     let verilog_lines = source.lines().filter(|l| !l.trim().is_empty()).count();
     let entry_key = EntryKey::Source(crate::incr::source_fingerprint(source, top));
-    compile_netlist_in_session(
-        session,
+    compile_netlist_traced(
+        trace,
         netlist,
         verilog_lines,
         options,
@@ -411,15 +186,15 @@ pub(crate) fn compile_source(
 }
 
 /// [`compile_netlist`], optionally re-using a previous certificate (see
-/// [`compile_netlist_in_session`]).
+/// [`compile_netlist_traced`]).
 pub(crate) fn compile_netlist_from(
     netlist: Netlist,
     options: &CompileOptions,
     prev_certificate: Option<&CompileCertificate>,
 ) -> Result<(Compiled, CertReuse), CompileError> {
     let entry_key = EntryKey::Netlist(netlist.structural_hash());
-    compile_netlist_in_session(
-        Session::new(),
+    compile_netlist_traced(
+        Trace::new(),
         netlist,
         0,
         options,
@@ -430,73 +205,95 @@ pub(crate) fn compile_netlist_from(
 
 /// The one compile driver behind every entry point, cold or incremental.
 ///
-/// Every stage runs exactly as in a cold compile. The one exception is
-/// `certify`: handed `prev_certificate` (the previous compile's, under the
-/// same options), it copies the obligations whose reuse keys (cone
-/// fingerprints, macro bodies) held still. The artifacts are therefore
+/// Each stage is one [`Trace::try_stage`] (or [`Trace::stage`]) call,
+/// recorded on `trace`. Every stage runs exactly as in a cold compile.
+/// The one exception is `certify`: handed `prev_certificate` (the
+/// previous compile's, under the same options), it copies the
+/// obligations whose reuse keys (cone fingerprints, macro bodies) held
+/// still. The artifacts are therefore
 /// byte-identical to a cold compile's by construction.
-fn compile_netlist_in_session(
-    mut session: Session,
+fn compile_netlist_traced(
+    mut trace: Trace,
     netlist: Netlist,
     verilog_lines: usize,
     options: &CompileOptions,
     entry_key: EntryKey,
     prev_certificate: Option<&CompileCertificate>,
 ) -> Result<(Compiled, CertReuse), CompileError> {
-    // Unroll sequential logic if requested (§4.3.3), then optimize (the
-    // ABC role).
-    let netlist = session.run(
-        &UnrollStage {
-            steps: options.unroll_steps,
-            initial: options.unroll_initial,
+    let cells = |netlist: &Netlist| (netlist.cells().len(), 0);
+
+    // Unroll sequential logic if requested (§4.3.3); identity when no
+    // step count was requested.
+    let netlist = trace.try_stage(
+        "unroll",
+        netlist.cells().len(),
+        || match options.unroll_steps {
+            Some(0) => Err(CompileError::Pipeline(
+                "unroll_steps must be at least 1".into(),
+            )),
+            Some(steps) => Ok(unroll(&netlist, steps, options.unroll_initial)),
+            None => Ok(netlist),
         },
-        netlist,
+        cells,
     )?;
     // The certifier proves the optimizer (and the EDIF round trip)
     // preserved this netlist, so it keeps the pre-optimization form.
     let source_netlist = options.certify.then(|| netlist.clone());
-    let netlist = session.run(
-        &OptimizeStage {
-            opt_level: options.opt_level,
+    // Gate-level optimization (the ABC role) plus validation.
+    let netlist = trace.try_stage(
+        "optimize",
+        netlist.cells().len(),
+        || {
+            let mut netlist = netlist;
+            if options.opt_level >= 2 {
+                opt::optimize(&mut netlist);
+            } else if options.opt_level == 1 {
+                opt::merge_buffers(&mut netlist);
+                opt::eliminate_dead(&mut netlist);
+            }
+            netlist.validate().map(|()| netlist)
         },
-        netlist,
+        cells,
     )?;
 
     // Round-trip through EDIF text, as the original pipeline does.
-    let edif = session.run(&EdifWriteStage, netlist)?;
-    let netlist = session.run(&EdifReadStage { edif: &edif }, ())?;
+    let edif = trace.stage(
+        "edif-write",
+        netlist.cells().len(),
+        || to_edif(&netlist),
+        |edif| (edif.len(), 0),
+    );
+    let netlist = trace.try_stage("edif-read", edif.len(), || from_edif(&edif), cells)?;
 
-    // EDIF → QMASM.
+    // EDIF → QMASM program text + standard-cell library text (the
+    // `edif2qmasm` role).
     let library = CellLibrary::table5();
-    let (qmasm, stdcell) = session.run(
-        &QmasmGenStage {
-            netlist: &netlist,
-            library: &library,
-        },
-        (),
-    )?;
+    let (qmasm, stdcell) = trace.stage(
+        "qmasm-gen",
+        netlist.cells().len(),
+        || (netlist_to_qmasm(&netlist), stdcell_qmasm(&library)),
+        |(qmasm, stdcell)| (qmasm.len() + stdcell.len(), 0),
+    );
     let mut includes = MapIncludes::new();
     includes.insert("stdcell.qmasm", stdcell.clone());
 
     // QMASM → logical Ising.
-    let program = session.run(
-        &QmasmParseStage {
-            qmasm: &qmasm,
-            includes: &includes,
-        },
-        (),
+    let program = trace.try_stage(
+        "qmasm-parse",
+        qmasm.len(),
+        || parse(&qmasm, &includes),
+        |program| (program.statements.len(), 0),
     )?;
     let assemble_options = AssembleOptions {
         merge_chains: options.merge_chains,
         chain_strength: options.chain_strength,
         pin_weight: None,
     };
-    let assembled = session.run(
-        &AssembleStage {
-            program: &program,
-            options: assemble_options,
-        },
-        (),
+    let assembled = trace.try_stage(
+        "assemble",
+        program.statements.len(),
+        || assemble(&program, &assemble_options),
+        |assembled| (assembled.ising.num_terms(1e-12), 0),
     )?;
 
     let expected = expected_ground_energy_of(&netlist, &library, &assembled)?;
@@ -504,17 +301,16 @@ fn compile_netlist_in_session(
     // Static analysis over the assembled model. The expected ground
     // energy just derived feeds the roof-duality and exact-audit
     // passes; the unmerged chain strength feeds the sufficiency bound
-    // when the caller did not pick one explicitly.
+    // when the caller did not pick one explicitly. Error-severity
+    // diagnostics abort compilation.
     let analysis = if options.analysis.enabled {
         let analysis_options = analysis_options_for(options, expected);
-        let report = session.run(
-            &AnalyzeStage {
-                assembled: &assembled,
-                program: &program,
-                options: &analysis_options,
-            },
-            (),
-        )?;
+        let report = trace.stage(
+            "analyze",
+            assembled.ising.num_terms(1e-12),
+            || analyze_assembled(&assembled, Some(&program), &analysis_options),
+            |report| (report.diagnostics.len(), 0),
+        );
         if report.diagnostics.has_errors() {
             return Err(CompileError::Analysis(report.diagnostics.clone()));
         }
@@ -529,15 +325,11 @@ fn compile_netlist_in_session(
     // error.
     let (certificate, cert_reuse) = match &source_netlist {
         Some(source) => {
-            let out = session.run(
-                &crate::certify::CertifyStage {
-                    source,
-                    optimized: &netlist,
-                    program: &program,
-                    library: &library,
-                    prev: prev_certificate,
-                },
-                (),
+            let out = trace.try_stage(
+                "certify",
+                source.cells().len() + netlist.cells().len(),
+                || certify(source, &netlist, &program, &library, prev_certificate),
+                |out| (out.certificate.num_obligations(), 0),
             )?;
             (Some(out.certificate), Some((out.reused, out.proved)))
         }
@@ -559,7 +351,7 @@ fn compile_netlist_in_session(
         analysis,
         certificate,
         stats,
-        trace: session.finish(),
+        trace,
         options: options.clone(),
         incr,
     };

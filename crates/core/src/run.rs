@@ -1,9 +1,9 @@
 //! Executing compiled programs — forward or backward (§4.3.6, §5).
 //!
-//! A run is a three-stage pipeline executed by a [`Session`]: realize
-//! pins (`pin`), sample (`sample`, with the hardware model's internal
-//! phases recorded as `sample:*` sub-entries), and decode (`interpret`).
-//! The per-stage [`Trace`] rides on [`RunOutcome`].
+//! A run is three stages, each one [`Trace::try_stage`] call: realize
+//! pins (`pin`), sample (`sample`, followed by the hardware model's own
+//! `sample:*` phase records when it ran), and decode (`interpret`). The
+//! per-stage [`Trace`] rides on [`RunOutcome`].
 
 use std::fmt;
 
@@ -17,7 +17,6 @@ use qac_solvers::{
 
 use qac_telemetry::Trace;
 
-use crate::stage::{Session, Stage};
 use crate::{CompileError, Compiled};
 
 /// Which sampler executes the program.
@@ -304,175 +303,95 @@ impl RunOutcome {
     }
 }
 
-// ---------------------------------------------------------------------
-// Stages
-// ---------------------------------------------------------------------
-
-/// Realizes compile-time and run-time pins into a runnable model.
-struct PinStage<'a> {
-    compiled: &'a Compiled,
-    extra_pins: &'a [(String, bool)],
-    style: qac_qmasm::PinStyle,
-}
-
-impl Stage for PinStage<'_> {
-    type Input = ();
-    type Output = Ising;
-    fn name(&self) -> &'static str {
-        "pin"
-    }
-    fn run(&self, (): ()) -> Result<Ising, CompileError> {
-        Ok(self
-            .compiled
-            .assembled
-            .pinned_model(self.extra_pins, self.style)?)
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.compiled.assembled.pins.len() + self.extra_pins.len()
-    }
-    fn output_size(&self, model: &Ising) -> usize {
-        model.num_terms(1e-12)
-    }
-}
-
-/// What the sample stage hands forward.
-struct Sampled {
-    set: SampleSet,
-    hardware: Option<HardwareStats>,
-    /// The hardware model's `sample:*` phase records (empty for
-    /// software samplers).
-    trace: Trace,
-}
-
-/// Draws samples from the pinned model with the chosen solver.
-struct SampleStage<'a> {
-    solver: &'a SolverChoice,
-    seed: u64,
-    num_reads: usize,
-}
-
-impl Stage for SampleStage<'_> {
-    type Input = Ising;
-    type Output = Sampled;
-    fn name(&self) -> &'static str {
-        "sample"
-    }
-    fn run(&self, model: Ising) -> Result<Sampled, CompileError> {
-        let mut hardware = None;
-        let mut trace = Trace::new();
-        let set = match self.solver {
-            SolverChoice::Exact => ExactSolver::new().sample(&model, self.num_reads),
-            SolverChoice::Sa { sweeps } => BitParallelSa::new(self.seed)
-                .with_sweeps(*sweeps)
-                .sample(&model, self.num_reads),
-            SolverChoice::ParallelTempering { sweeps, rungs } => ParallelTempering::new(self.seed)
-                .with_sweeps(*sweeps)
-                .with_rungs(*rungs)
-                .sample(&model, self.num_reads),
-            SolverChoice::PopulationAnnealing { sweeps } => PopulationAnnealing::new(self.seed)
-                .with_sweeps(*sweeps)
-                .sample(&model, self.num_reads),
-            SolverChoice::Sqa { sweeps, slices } => Sqa::new(self.seed)
-                .with_sweeps(*sweeps)
-                .with_slices(*slices)
-                .sample(&model, self.num_reads),
-            SolverChoice::Tabu => TabuSearch::new(self.seed).sample(&model, self.num_reads),
-            SolverChoice::Qbsolv { subproblem } => QbsolvStyle::new(self.seed)
-                .with_subproblem_size(*subproblem)
-                .sample(&model, self.num_reads),
-            SolverChoice::DWave(sim_options) => {
-                let sim = DWaveSim::new((**sim_options).clone());
-                let result = sim.run(&model, self.num_reads)?;
-                hardware = Some(HardwareStats {
-                    physical_qubits: result.physical_qubits,
-                    physical_terms: result.physical_terms,
-                    chain_breaks: result.mean_chain_breaks,
-                    time_us: result.estimated_time_us,
-                });
-                trace = result.trace;
-                result.logical
-            }
-        };
-        Ok(Sampled {
-            set,
-            hardware,
-            trace,
-        })
-    }
-    fn input_size(&self, model: &Ising) -> usize {
-        model.num_terms(1e-12)
-    }
-    fn output_size(&self, sampled: &Sampled) -> usize {
-        sampled.set.total_reads()
-    }
-    fn retries(&self, sampled: &Sampled) -> usize {
-        sampled.trace.stages().iter().map(|s| s.retries).sum()
-    }
+/// Draws samples from `model` with the run's solver, seed and read
+/// count. The hardware model also reports its statistics and the
+/// `sample:*` records of its own phases.
+fn sample(
+    options: &RunOptions,
+    model: &Ising,
+) -> Result<(SampleSet, Option<(HardwareStats, Trace)>), CompileError> {
+    let (seed, num_reads) = (options.seed, options.num_reads);
+    let set = match &options.solver {
+        SolverChoice::Exact => ExactSolver::new().sample(model, num_reads),
+        SolverChoice::Sa { sweeps } => BitParallelSa::new(seed)
+            .with_sweeps(*sweeps)
+            .sample(model, num_reads),
+        SolverChoice::ParallelTempering { sweeps, rungs } => ParallelTempering::new(seed)
+            .with_sweeps(*sweeps)
+            .with_rungs(*rungs)
+            .sample(model, num_reads),
+        SolverChoice::PopulationAnnealing { sweeps } => PopulationAnnealing::new(seed)
+            .with_sweeps(*sweeps)
+            .sample(model, num_reads),
+        SolverChoice::Sqa { sweeps, slices } => Sqa::new(seed)
+            .with_sweeps(*sweeps)
+            .with_slices(*slices)
+            .sample(model, num_reads),
+        SolverChoice::Tabu => TabuSearch::new(seed).sample(model, num_reads),
+        SolverChoice::Qbsolv { subproblem } => QbsolvStyle::new(seed)
+            .with_subproblem_size(*subproblem)
+            .sample(model, num_reads),
+        SolverChoice::DWave(sim_options) => {
+            let result = DWaveSim::new((**sim_options).clone()).run(model, num_reads)?;
+            let hardware = HardwareStats {
+                physical_qubits: result.physical_qubits,
+                physical_terms: result.physical_terms,
+                chain_breaks: result.mean_chain_breaks,
+                time_us: result.estimated_time_us,
+            };
+            return Ok((result.logical, Some((hardware, result.trace))));
+        }
+    };
+    Ok((set, None))
 }
 
 /// Decodes raw samples into symbol-level solutions, checking pins,
-/// asserts, and the expected energy.
-struct InterpretStage<'a> {
-    compiled: &'a Compiled,
-    pin_targets: &'a [(usize, Spin, String, bool)],
-    /// Force pinned spins to their targets before decoding (Fix-style
-    /// pins leave the fixed variables inert in the model).
+/// asserts, and the expected energy; lowest energy first, valid before
+/// invalid. `force_pins` sets pinned spins to their targets before
+/// decoding (Fix-style pins leave the fixed variables inert in the
+/// model).
+fn interpret(
+    compiled: &Compiled,
+    set: &SampleSet,
+    pin_targets: &[(usize, Spin, String, bool)],
     force_pins: bool,
-}
-
-impl Stage for InterpretStage<'_> {
-    type Input = SampleSet;
-    type Output = Vec<SolvedSample>;
-    fn name(&self) -> &'static str {
-        "interpret"
-    }
-    fn run(&self, set: SampleSet) -> Result<Vec<SolvedSample>, CompileError> {
-        let logical = &self.compiled.assembled.ising;
-        let mut samples = Vec::new();
-        for sample in set.iter() {
-            let mut spins = sample.spins.clone();
-            if self.force_pins {
-                for &(var, target, ..) in self.pin_targets {
-                    spins[var] = target;
-                }
+) -> Vec<SolvedSample> {
+    let logical = &compiled.assembled.ising;
+    let mut samples = Vec::new();
+    for sample in set.iter() {
+        let mut spins = sample.spins.clone();
+        if force_pins {
+            for &(var, target, ..) in pin_targets {
+                spins[var] = target;
             }
-            let energy = logical.energy(&spins);
-            let pins_ok = self
-                .pin_targets
-                .iter()
-                .all(|&(var, target, ..)| spins[var] == target);
-            let asserts_ok = self
-                .compiled
-                .assembled
-                .check_asserts(&spins)
-                .iter()
-                .all(|(_, ok)| *ok);
-            let valid = pins_ok
-                && asserts_ok
-                && (energy - self.compiled.expected_ground_energy).abs() < 1e-6;
-            samples.push(SolvedSample {
-                values: self.compiled.assembled.interpret(&spins),
-                energy,
-                spins,
-                occurrences: sample.occurrences,
-                valid,
-            });
         }
-        samples.sort_by(|a, b| {
-            b.valid.cmp(&a.valid).then(
-                a.energy
-                    .partial_cmp(&b.energy)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
+        let energy = logical.energy(&spins);
+        let pins_ok = pin_targets
+            .iter()
+            .all(|&(var, target, ..)| spins[var] == target);
+        let asserts_ok = compiled
+            .assembled
+            .check_asserts(&spins)
+            .iter()
+            .all(|(_, ok)| *ok);
+        let valid =
+            pins_ok && asserts_ok && (energy - compiled.expected_ground_energy).abs() < 1e-6;
+        samples.push(SolvedSample {
+            values: compiled.assembled.interpret(&spins),
+            energy,
+            spins,
+            occurrences: sample.occurrences,
+            valid,
         });
-        Ok(samples)
     }
-    fn input_size(&self, set: &SampleSet) -> usize {
-        set.total_reads()
-    }
-    fn output_size(&self, samples: &Vec<SolvedSample>) -> usize {
-        samples.len()
-    }
+    samples.sort_by(|a, b| {
+        b.valid.cmp(&a.valid).then(
+            a.energy
+                .partial_cmp(&b.energy)
+                .unwrap_or(std::cmp::Ordering::Equal),
+        )
+    });
+    samples
 }
 
 impl Compiled {
@@ -481,14 +400,15 @@ impl Compiled {
     /// Pin inputs to run forward; pin outputs to run backward (§4.3.6).
     ///
     /// # Errors
-    /// [`CompileError::Qmasm`] for bad pin specifications or unknown
-    /// symbols; [`CompileError::Analysis`] when pins contradict each
+    /// [`CompileError::Qmasm`] for bad pin specifications, unknown
+    /// symbols, or a pin bias that leaves a weight non-finite;
+    /// [`CompileError::Analysis`] when pins contradict each
     /// other on the same merged variable; [`CompileError::Embed`] if the
     /// hardware model cannot embed the program.
     pub fn run(&self, options: &RunOptions) -> Result<RunOutcome, CompileError> {
         let telemetry = qac_telemetry::global();
         let mut root = telemetry.span("run");
-        let mut session = Session::new();
+        let mut trace = Trace::new();
         let pin_specs: Vec<&str> = options.pins.iter().map(String::as_str).collect();
         let extra_pins = parse_pins(pin_specs)?;
 
@@ -520,42 +440,42 @@ impl Compiled {
             Some(w) => qac_qmasm::PinStyle::Bias(w),
             None => qac_qmasm::PinStyle::Fix,
         };
-        let model = session.run(
-            &PinStage {
-                compiled: self,
-                extra_pins: &extra_pins,
-                style,
-            },
-            (),
+        let model = trace.try_stage(
+            "pin",
+            self.assembled.pins.len() + extra_pins.len(),
+            || self.assembled.pinned_model(&extra_pins, style),
+            |model| (model.num_terms(1e-12), 0),
         )?;
 
         // Sample, then append the hardware model's sample:* phase
-        // records after the sample entry.
-        let sampled = session.run(
-            &SampleStage {
-                solver: &options.solver,
-                seed: options.seed,
-                num_reads: options.num_reads,
+        // records after the sample entry; the sample entry's retries are
+        // the phases' (embedding restarts).
+        let (set, hardware) = trace.try_stage(
+            "sample",
+            model.num_terms(1e-12),
+            || sample(options, &model),
+            |(set, hardware)| {
+                let retries = hardware.iter().flat_map(|(_, phases)| phases.stages());
+                (set.total_reads(), retries.map(|s| s.retries).sum())
             },
-            model,
         )?;
-        session.append(&sampled.trace);
+        if let Some((_, phases)) = &hardware {
+            trace.extend(phases.stages().iter().cloned());
+        }
 
         // Decode.
-        let samples = session.run(
-            &InterpretStage {
-                compiled: self,
-                pin_targets: &pin_targets,
-                force_pins: bias_weight.is_none(),
-            },
-            sampled.set,
-        )?;
+        let samples = trace.stage(
+            "interpret",
+            set.total_reads(),
+            || interpret(self, &set, &pin_targets, bias_weight.is_none()),
+            |samples| (samples.len(), 0),
+        );
 
         let outcome = RunOutcome {
             samples,
             expected_energy: self.expected_ground_energy,
-            hardware: sampled.hardware,
-            trace: session.finish(),
+            hardware: hardware.map(|(stats, _)| stats),
+            trace,
         };
 
         // Report run-level quality into the telemetry registry (no-ops

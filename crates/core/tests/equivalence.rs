@@ -100,8 +100,8 @@ struct ReferenceArtifacts {
     stats: PipelineStats,
 }
 
-/// A straight-line transcription of the compile path as it was before
-/// the stage-graph refactor (same calls, same order, no Session).
+/// A straight-line transcription of the compile path: the same calls in
+/// the same order, with no `Trace::try_stage` recording around them.
 fn reference_compile(
     source: &str,
     top: &str,

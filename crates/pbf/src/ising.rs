@@ -87,6 +87,16 @@ impl Ising {
         self.offset += delta;
     }
 
+    /// Fallible version of [`Ising::add_offset`].
+    ///
+    /// # Errors
+    /// [`PbfError::NonFiniteCoefficient`] for a NaN/infinite delta or a
+    /// sum that overflows; the offset is left unchanged.
+    pub fn try_add_offset(&mut self, delta: f64) -> Result<(), PbfError> {
+        self.offset = finite_sum(self.offset, delta)?;
+        Ok(())
+    }
+
     /// The linear coefficient `hᵢ`.
     ///
     /// # Panics
@@ -104,17 +114,18 @@ impl Ising {
     /// Accumulates `delta` onto the linear coefficient `hᵢ`.
     ///
     /// # Panics
-    /// Panics if `i` is out of range. Use [`Ising::try_add_h`] for a
-    /// fallible variant.
+    /// Panics if `i` is out of range or the new coefficient is not
+    /// finite. Use [`Ising::try_add_h`] for a fallible variant.
     pub fn add_h(&mut self, i: usize, delta: f64) {
-        self.try_add_h(i, delta).expect("variable index in range");
+        self.try_add_h(i, delta).expect("valid linear term");
     }
 
     /// Fallible version of [`Ising::add_h`].
     ///
     /// # Errors
     /// Returns [`PbfError::VariableOutOfRange`] if `i ≥ num_vars` and
-    /// [`PbfError::NonFiniteCoefficient`] for NaN/infinite deltas.
+    /// [`PbfError::NonFiniteCoefficient`] for a NaN/infinite delta or a
+    /// sum that overflows; the model is left unchanged.
     pub fn try_add_h(&mut self, i: usize, delta: f64) -> Result<(), PbfError> {
         if i >= self.num_vars {
             return Err(PbfError::VariableOutOfRange {
@@ -122,18 +133,16 @@ impl Ising {
                 num_vars: self.num_vars,
             });
         }
-        if !delta.is_finite() {
-            return Err(PbfError::NonFiniteCoefficient(delta));
-        }
-        self.h[i] += delta;
+        self.h[i] = finite_sum(self.h[i], delta)?;
         Ok(())
     }
 
     /// Accumulates `delta` onto the coupling `Jᵢⱼ`, normalizing index order.
     ///
     /// # Panics
-    /// Panics if either index is out of range or `i == j`. Use
-    /// [`Ising::try_add_j`] for a fallible variant.
+    /// Panics if either index is out of range, `i == j`, or the new
+    /// coefficient is not finite. Use [`Ising::try_add_j`] for a
+    /// fallible variant.
     pub fn add_j(&mut self, i: usize, j: usize, delta: f64) {
         self.try_add_j(i, j, delta).expect("valid coupling");
     }
@@ -143,7 +152,8 @@ impl Ising {
     /// # Errors
     /// Returns [`PbfError::SelfCoupling`] when `i == j`,
     /// [`PbfError::VariableOutOfRange`] for indices past the end, and
-    /// [`PbfError::NonFiniteCoefficient`] for NaN/infinite deltas.
+    /// [`PbfError::NonFiniteCoefficient`] for a NaN/infinite delta or a
+    /// sum that overflows; the model is left unchanged.
     pub fn try_add_j(&mut self, i: usize, j: usize, delta: f64) -> Result<(), PbfError> {
         if i == j {
             return Err(PbfError::SelfCoupling(i));
@@ -158,7 +168,10 @@ impl Ising {
         if !delta.is_finite() {
             return Err(PbfError::NonFiniteCoefficient(delta));
         }
-        *self.j.entry((a, b)).or_insert(0.0) += delta;
+        // A new entry starts at 0.0 + delta, which is finite, so a failed
+        // sum never leaves an inserted entry behind.
+        let value = self.j.entry((a, b)).or_insert(0.0);
+        *value = finite_sum(*value, delta)?;
         Ok(())
     }
 
@@ -419,6 +432,18 @@ impl Ising {
     }
 }
 
+/// `value + delta`, or [`PbfError::NonFiniteCoefficient`] when that sum
+/// is NaN or infinite (a non-finite delta, or two finite values whose
+/// sum overflows).
+fn finite_sum(value: f64, delta: f64) -> Result<f64, PbfError> {
+    let sum = value + delta;
+    if sum.is_finite() {
+        Ok(sum)
+    } else {
+        Err(PbfError::NonFiniteCoefficient(sum))
+    }
+}
+
 /// A compressed-sparse-row copy of [`Ising::adjacency`]: every
 /// variable's `(partner, J)` entries concatenated in variable order, with
 /// `offsets[i]..offsets[i + 1]` bounding variable i's row. Built once per
@@ -520,6 +545,34 @@ mod tests {
             m.try_add_h(0, f64::NAN),
             Err(PbfError::NonFiniteCoefficient(_))
         ));
+    }
+
+    #[test]
+    fn overflowing_sums_are_rejected_and_leave_the_model_unchanged() {
+        let mut m = Ising::new(2);
+        m.add_h(0, f64::MAX);
+        m.add_j(0, 1, -f64::MAX);
+        m.add_offset(f64::MAX);
+        assert_eq!(
+            m.try_add_h(0, f64::MAX),
+            Err(PbfError::NonFiniteCoefficient(f64::INFINITY))
+        );
+        assert_eq!(
+            m.try_add_j(1, 0, -f64::MAX),
+            Err(PbfError::NonFiniteCoefficient(f64::NEG_INFINITY))
+        );
+        assert_eq!(
+            m.try_add_offset(f64::MAX),
+            Err(PbfError::NonFiniteCoefficient(f64::INFINITY))
+        );
+        assert_eq!(
+            (m.h(0), m.j(0, 1), m.offset()),
+            (f64::MAX, -f64::MAX, f64::MAX)
+        );
+        // A rejected delta on a new pair stores nothing.
+        let mut fresh = Ising::new(2);
+        assert!(fresh.try_add_j(0, 1, f64::NAN).is_err());
+        assert_eq!(fresh.num_couplings(), 0);
     }
 
     #[test]

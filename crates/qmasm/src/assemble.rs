@@ -221,20 +221,34 @@ impl Assembled {
     /// program's own pins, realized per `style`.
     ///
     /// # Errors
-    /// [`QmasmError::UnknownSymbol`] if a pin names an unknown symbol.
+    /// [`QmasmError::UnknownSymbol`] if a pin names an unknown symbol;
+    /// [`QmasmError::CoefficientOverflow`] naming the pin whose bias, or
+    /// whose substitution, leaves a weight or the offset non-finite.
     pub fn pinned_model(
         &self,
         extra_pins: &[(String, bool)],
         style: PinStyle,
     ) -> Result<Ising, QmasmError> {
         let mut model = self.ising.clone();
-        for (var, target, _, _) in self.resolved_pins(extra_pins)? {
+        for (var, target, name, _) in self.resolved_pins(extra_pins)? {
             match style {
                 PinStyle::Bias(weight) => {
                     // H_VCC(σ) = −σ pins true; H_GND(σ) = σ pins false (§4.3.4).
-                    model.add_h(var, -weight * target.value());
+                    model
+                        .try_add_h(var, -weight * target.value())
+                        .map_err(|_| QmasmError::CoefficientOverflow(name))?;
                 }
-                PinStyle::Fix => model.fix_variable(var, target),
+                PinStyle::Fix => {
+                    // Folding the variable's couplings into its
+                    // neighbours' weights (and its weight into the offset)
+                    // can overflow them; the couplings are only removed.
+                    model.fix_variable(var, target);
+                    let finite =
+                        model.offset().is_finite() && model.h_iter().all(|(_, h)| h.is_finite());
+                    if !finite {
+                        return Err(QmasmError::CoefficientOverflow(name));
+                    }
+                }
             }
         }
         Ok(model)
@@ -263,8 +277,10 @@ const MAX_MACRO_DEPTH: usize = 64;
 ///
 /// # Errors
 /// [`QmasmError::UnknownMacro`] for undefined `!use_macro` targets,
-/// [`QmasmError::ChainContradiction`] when `=`/`!=` chains conflict, and
-/// [`QmasmError::BadAssert`] for unparsable assertions.
+/// [`QmasmError::ChainContradiction`] when `=`/`!=` chains conflict,
+/// [`QmasmError::BadAssert`] for unparsable assertions, and
+/// [`QmasmError::CoefficientOverflow`] when the coefficients on one term
+/// (chain couplings included) add up to a non-finite value.
 pub fn assemble(program: &Program, options: &AssembleOptions) -> Result<Assembled, QmasmError> {
     // --- Macro expansion to a flat statement list. ---
     let mut flat: Vec<Statement> = Vec::new();
@@ -330,18 +346,21 @@ pub fn assemble(program: &Program, options: &AssembleOptions) -> Result<Assemble
         match stmt {
             Statement::Weight { symbol, value } => {
                 let (var, parity) = symbols.resolve(symbol).expect("interned");
-                ising.add_h(var, value * f64::from(parity.sign()));
+                ising
+                    .try_add_h(var, value * f64::from(parity.sign()))
+                    .map_err(|_| QmasmError::CoefficientOverflow(symbol.clone()))?;
             }
             Statement::Coupling { a, b, value } => {
                 let (va, pa) = symbols.resolve(a).expect("interned");
                 let (vb, pb) = symbols.resolve(b).expect("interned");
                 let signed = value * f64::from(pa.sign()) * f64::from(pb.sign());
-                if va == vb {
-                    // σσ = +1 (or −1 for opposite parity already folded in).
-                    ising.add_offset(signed);
+                // σσ = +1 (or −1 for opposite parity already folded in).
+                let added = if va == vb {
+                    ising.try_add_offset(signed)
                 } else {
-                    ising.add_j(va, vb, signed);
-                }
+                    ising.try_add_j(va, vb, signed)
+                };
+                added.map_err(|_| QmasmError::CoefficientOverflow(format!("{a} {b}")))?;
             }
             _ => {}
         }
@@ -361,7 +380,14 @@ pub fn assemble(program: &Program, options: &AssembleOptions) -> Result<Assemble
             continue;
         }
         let sign = f64::from(rel) * f64::from(pa.sign()) * f64::from(pb.sign());
-        ising.add_j(va, vb, -chain_strength * sign);
+        ising
+            .try_add_j(va, vb, -chain_strength * sign)
+            .map_err(|_| {
+                QmasmError::CoefficientOverflow(format!(
+                    "{} {}",
+                    symbols.names[ia], symbols.names[ib]
+                ))
+            })?;
         num_chain_couplings += 1;
     }
 

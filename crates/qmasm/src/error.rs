@@ -29,6 +29,11 @@ pub enum QmasmError {
     ChainContradiction(String, String),
     /// A malformed assertion expression.
     BadAssert(String),
+    /// The coefficients on one term — a symbol's weights and pin biases,
+    /// or the strengths of one pair `a b` — add up to a value that is not
+    /// finite: finite literals whose sum overflows, or a non-finite pin
+    /// weight.
+    CoefficientOverflow(String),
 }
 
 impl fmt::Display for QmasmError {
@@ -44,6 +49,12 @@ impl fmt::Display for QmasmError {
                 write!(f, "contradictory chains between `{a}` and `{b}`")
             }
             QmasmError::BadAssert(msg) => write!(f, "malformed assertion: {msg}"),
+            QmasmError::CoefficientOverflow(term) => {
+                write!(
+                    f,
+                    "the coefficients on `{term}` add up to a non-finite value"
+                )
+            }
         }
     }
 }

@@ -264,6 +264,42 @@ mod tests {
     }
 
     #[test]
+    fn try_stage_measures_each_stage_and_records_no_failed_one() {
+        let double = |input: &[u32]| input.iter().flat_map(|&x| [x, x]).collect::<Vec<_>>();
+        let mut trace = Trace::new();
+        let input = vec![1, 2, 3];
+        let out = trace.stage("double", input.len(), || double(&input), |o| (o.len(), 0));
+        let failed = trace.try_stage("failing", 0, || Err::<(), _>("boom"), |_| (1, 1));
+        assert_eq!(failed, Err("boom"));
+        let out = trace
+            .try_stage(
+                "double",
+                out.len(),
+                || Ok::<_, ()>(double(&out)),
+                |o| (o.len(), 2),
+            )
+            .unwrap();
+        assert_eq!(out.len(), 12);
+        let sizes: Vec<(&str, usize, usize, usize, bool)> = trace
+            .stages()
+            .iter()
+            .map(|s| {
+                (
+                    s.name.as_str(),
+                    s.input_size,
+                    s.output_size,
+                    s.retries,
+                    s.skipped,
+                )
+            })
+            .collect();
+        assert_eq!(
+            sizes,
+            [("double", 3, 6, 0, false), ("double", 6, 12, 2, false)]
+        );
+    }
+
+    #[test]
     fn all_and_total_for_see_repeated_stages() {
         // `get` only ever returns the first entry with a name — traces
         // merged from several runs repeat `sample:*`, so repeated names

@@ -1,11 +1,15 @@
 //! The QMASM parser on hostile input: weights and strengths that are not
 //! finite numbers (`nan`, `inf`, an overflowing `1e400`) are typed
 //! `QmasmError::Parse` errors carrying their line, inside a macro body
-//! or outside one, and no single-character deletion of Figure 2's QMASM
-//! panics the parser or the assembler.
+//! or outside one; finite coefficients whose sum on one term overflows
+//! are typed `QmasmError::CoefficientOverflow` errors naming the term,
+//! in the assembler and in pin realization; and no single-character
+//! deletion of Figure 2's QMASM panics the parser or the assembler.
 
 use qac::core::{compile, CompileOptions};
-use qac::qmasm::{assemble, parse, AssembleOptions, MapIncludes, NoIncludes, QmasmError};
+use qac::qmasm::{
+    assemble, parse, AssembleOptions, Assembled, MapIncludes, NoIncludes, PinStyle, QmasmError,
+};
 
 const FIGURE2: &str = r#"
 module circuit (s, a, b, c);
@@ -76,6 +80,59 @@ fn a_non_finite_weight_in_figure2_is_rejected_at_its_line() {
             "{statement:?} gave {result:?}"
         );
     }
+}
+
+/// Assembles `source`, which must parse.
+fn assemble_source(source: &str) -> Result<Assembled, QmasmError> {
+    assemble(
+        &parse(source, &NoIncludes).unwrap(),
+        &AssembleOptions::default(),
+    )
+}
+
+fn is_overflow_of(result: &Result<impl std::fmt::Debug, QmasmError>, term: &str) -> bool {
+    matches!(result, Err(QmasmError::CoefficientOverflow(t)) if t == term)
+}
+
+#[test]
+fn finite_coefficients_whose_sum_overflows_are_errors_naming_the_term() {
+    // Each weight and strength is finite; only their sums are not.
+    for (source, term) in [
+        ("a 1e308\na 1e308\na b 1e308\na b 1e308\n", "a"),
+        ("a b 1e308\na b 1e308\n", "a b"),
+        ("a -1e308\nb 1\na -1e308\n", "a"),
+        ("a b -1e308\nb a -1e308\n", "b a"),
+        // A merged chain turns the strengths into the model's offset.
+        ("a = b\na b 1e308\na b 1e308\n", "a b"),
+    ] {
+        let result = assemble_source(source);
+        assert!(is_overflow_of(&result, term), "{source:?} gave {result:?}");
+    }
+    // An unmerged chain's coupling defaults to twice the largest
+    // strength, which overflows here.
+    let unmerged = AssembleOptions {
+        merge_chains: false,
+        ..Default::default()
+    };
+    let result = assemble(
+        &parse("a = b\nc d 1e308\n", &NoIncludes).unwrap(),
+        &unmerged,
+    );
+    assert!(is_overflow_of(&result, "a b"), "{result:?}");
+    // A pin bias that overflows the weight on its variable.
+    let assembled = assemble_source("a 1e308\n").unwrap();
+    let result = assembled.pinned_model(&[("a".to_string(), false)], PinStyle::Bias(1e308));
+    assert!(is_overflow_of(&result, "a"), "{result:?}");
+    assert!(assembled
+        .pinned_model(&[("a".to_string(), true)], PinStyle::Bias(1e308))
+        .is_ok());
+    // A fixed pin folds its coupling into the neighbour's weight.
+    let assembled = assemble_source("b 1e308\na b 1e308\n").unwrap();
+    let result = assembled.pinned_model(&[("a".to_string(), true)], PinStyle::Fix);
+    assert!(is_overflow_of(&result, "a"), "{result:?}");
+    assert!(assembled
+        .pinned_model(&[("a".to_string(), false)], PinStyle::Fix)
+        .is_ok());
 }
 
 #[test]
