@@ -65,14 +65,14 @@ cargo run --release -q -p qac-bench --bin experiments -- \
     figure2_3 --trace-json "$tmpdir/trace.jsonl" --metrics "$tmpdir/metrics.prom" \
     > /dev/null
 # The routing-work budgets are machine-independent: the counters are
-# deterministic per seed (figure2_3 currently routes with ~308k heap
-# pops / ~1.8M edge relaxations / 11 rip-up iterations), so they only
+# deterministic per seed (figure2_3 currently routes with 76,811 heap
+# pops / 453,809 edge relaxations / 11 rip-up iterations), so they only
 # trip when the router algorithmically regresses, never because the CI
 # host is slow. Budgets carry ~30% headroom over today's values.
 cargo run --release -q -p qac-bench --bin telemetry_check -- \
     "$tmpdir/trace.jsonl" "$tmpdir/metrics.prom" \
-    --counter-max qac_embed_heap_pops_total=400000 \
-    --counter-max qac_embed_edge_relaxations_total=2400000 \
+    --counter-max qac_embed_heap_pops_total=100000 \
+    --counter-max qac_embed_edge_relaxations_total=590000 \
     --counter-max qac_route_iterations_total=20
 
 echo "==> topology gate (per-fabric routing-work and embedding-size budgets)"
@@ -85,8 +85,8 @@ cargo run --release -q -p qac-bench --bin experiments -- \
 # skipped on king), and each fabric gets its own labeled budgets, so a
 # regression is pinned to the topology that regressed. Budgets carry
 # ~30% headroom over today's values, chimera / pegasus / zephyr / king:
-#   heap pops          7,388,323 / 1,111,696 / 979,967 / 75,351,550
-#   edge relaxations   43,274,227 / 14,875,405 / 17,218,160 / 578,382,188
+#   heap pops          3,014,929 / 677,434 / 567,509 / 38,498,099
+#   edge relaxations   17,727,038 / 9,229,429 / 10,154,930 / 297,274,114
 #   route iterations   114 / 42 / 38 / 667
 #   physical qubits    593 / 263 / 241 / 295 (summed over the workloads)
 #   max chain          15 / 5 / 6 / 24 (longest chain of any workload)
@@ -97,23 +97,23 @@ cargo run --release -q -p qac-bench --bin experiments -- \
 # topology experiment exports the unlabeled total.
 cargo run --release -q -p qac-bench --bin telemetry_check -- \
     "$tmpdir/topology.jsonl" "$tmpdir/topology.prom" \
-    --counter-max 'qac_embed_heap_pops_total{topology="chimera"}=9600000' \
-    --counter-max 'qac_embed_edge_relaxations_total{topology="chimera"}=56000000' \
+    --counter-max 'qac_embed_heap_pops_total{topology="chimera"}=3900000' \
+    --counter-max 'qac_embed_edge_relaxations_total{topology="chimera"}=23000000' \
     --counter-max 'qac_route_iterations_total{topology="chimera"}=150' \
     --counter-max 'qac_embed_physical_qubits_total{topology="chimera"}=770' \
     --counter-max 'qac_embed_max_chain{topology="chimera"}=19' \
-    --counter-max 'qac_embed_heap_pops_total{topology="pegasus"}=1500000' \
-    --counter-max 'qac_embed_edge_relaxations_total{topology="pegasus"}=19000000' \
+    --counter-max 'qac_embed_heap_pops_total{topology="pegasus"}=880000' \
+    --counter-max 'qac_embed_edge_relaxations_total{topology="pegasus"}=12000000' \
     --counter-max 'qac_route_iterations_total{topology="pegasus"}=55' \
     --counter-max 'qac_embed_physical_qubits_total{topology="pegasus"}=340' \
     --counter-max 'qac_embed_max_chain{topology="pegasus"}=6' \
-    --counter-max 'qac_embed_heap_pops_total{topology="zephyr"}=1300000' \
-    --counter-max 'qac_embed_edge_relaxations_total{topology="zephyr"}=22000000' \
+    --counter-max 'qac_embed_heap_pops_total{topology="zephyr"}=740000' \
+    --counter-max 'qac_embed_edge_relaxations_total{topology="zephyr"}=13000000' \
     --counter-max 'qac_route_iterations_total{topology="zephyr"}=50' \
     --counter-max 'qac_embed_physical_qubits_total{topology="zephyr"}=315' \
     --counter-max 'qac_embed_max_chain{topology="zephyr"}=7' \
-    --counter-max 'qac_embed_heap_pops_total{topology="king"}=98000000' \
-    --counter-max 'qac_embed_edge_relaxations_total{topology="king"}=750000000' \
+    --counter-max 'qac_embed_heap_pops_total{topology="king"}=50000000' \
+    --counter-max 'qac_embed_edge_relaxations_total{topology="king"}=390000000' \
     --counter-max 'qac_route_iterations_total{topology="king"}=870' \
     --counter-max 'qac_embed_physical_qubits_total{topology="king"}=385' \
     --counter-max 'qac_embed_max_chain{topology="king"}=31' \
@@ -121,7 +121,7 @@ cargo run --release -q -p qac-bench --bin telemetry_check -- \
 
 echo "==> topology gate self-test (a budget one below today's value must fail)"
 for topology in chimera pegasus zephyr king; do
-    for metric in qac_embed_physical_qubits_total qac_embed_max_chain; do
+    for metric in qac_embed_physical_qubits_total qac_embed_max_chain qac_embed_heap_pops_total; do
         sample="$metric{topology=\"$topology\"}"
         value="$(grep -F "$sample " "$tmpdir/topology.prom" | cut -d' ' -f2)"
         if cargo run --release -q -p qac-bench --bin telemetry_check -- \

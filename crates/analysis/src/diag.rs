@@ -60,6 +60,8 @@ pub enum Code {
     PinVsConstant,
     /// `QAC003`: a pin repeats a value that is already pinned.
     RedundantPin,
+    /// `QAC004`: substituting a pin overflows a weight or the offset.
+    PinOverflow,
     /// `QAC010`: a variable has no weight and no couplings.
     DisconnectedVariable,
     /// `QAC011`: a macro is defined but never instantiated.
@@ -111,6 +113,7 @@ impl Code {
             Code::PinContradiction => "QAC001",
             Code::PinVsConstant => "QAC002",
             Code::RedundantPin => "QAC003",
+            Code::PinOverflow => "QAC004",
             Code::DisconnectedVariable => "QAC010",
             Code::UnusedMacro => "QAC011",
             Code::CoefficientCollapse => "QAC020",
@@ -141,6 +144,7 @@ impl Code {
         match self {
             Code::PinContradiction
             | Code::PinVsConstant
+            | Code::PinOverflow
             | Code::RoofUnsat
             | Code::ExactAuditUnsat
             | Code::ExactAuditMismatch
@@ -392,6 +396,7 @@ mod tests {
             Code::PinContradiction,
             Code::PinVsConstant,
             Code::RedundantPin,
+            Code::PinOverflow,
             Code::DisconnectedVariable,
             Code::UnusedMacro,
             Code::CoefficientCollapse,

@@ -15,7 +15,7 @@
 //!
 //! | pass | codes | what it checks |
 //! |---|---|---|
-//! | `pins` | QAC001–003 | pin propagation through `=`/`!=` chains; contradictions are compile-time UNSAT |
+//! | `pins` | QAC001–004 | pin propagation through `=`/`!=` chains; contradictions are compile-time UNSAT |
 //! | `dead-code` | QAC010–011 | disconnected variables, macros never instantiated |
 //! | `dynamic-range` | QAC020–021 | coefficient precision after scaling into the hardware range |
 //! | `chain-strength` | QAC030–031 | chain J vs. per-variable neighborhood weight bound |
@@ -435,19 +435,32 @@ pub(crate) fn degrees(model: &Ising) -> Vec<usize> {
     deg
 }
 
-/// The model with first-wins pins substituted out via `fix_variable`
-/// (conflicting later pins are ignored — the pins pass already
-/// reported them).
-pub(crate) fn pinned_fix_model(ctx: &Ctx<'_>) -> (Ising, std::collections::BTreeMap<usize, Spin>) {
-    let mut first: std::collections::BTreeMap<usize, Spin> = std::collections::BTreeMap::new();
-    for (var, spin, _) in &ctx.pins {
-        first.entry(*var).or_insert(*spin);
+/// The model with first-wins pins substituted out via `try_fix_variable`
+/// in variable order (conflicting later pins are ignored — the pins pass
+/// already reported them), with the pin values it substituted.
+///
+/// # Errors
+/// The variable and name of the first pin whose substitution would
+/// leave a weight or the offset non-finite (QAC004).
+pub(crate) fn pinned_fix_model(
+    ctx: &Ctx<'_>,
+) -> Result<(Ising, std::collections::BTreeMap<usize, Spin>), (usize, String)> {
+    let mut first: std::collections::BTreeMap<usize, (Spin, &str)> =
+        std::collections::BTreeMap::new();
+    for (var, spin, name) in &ctx.pins {
+        first.entry(*var).or_insert((*spin, name));
     }
     let mut model = ctx.model.clone();
-    for (&var, &spin) in &first {
-        model.fix_variable(var, spin);
+    for (&var, &(spin, name)) in &first {
+        model
+            .try_fix_variable(var, spin)
+            .map_err(|_| (var, name.to_string()))?;
     }
-    (model, first)
+    let values = first
+        .into_iter()
+        .map(|(var, (spin, _))| (var, spin))
+        .collect();
+    Ok((model, values))
 }
 
 /// Formats a float for diagnostics: fixed `{:.4}` with infinities as

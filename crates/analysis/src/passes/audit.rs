@@ -26,38 +26,34 @@ const ENERGY_EPS: f64 = 1e-6;
 pub(crate) fn run(ctx: &Ctx<'_>, options: &AnalysisOptions, report: &mut AnalysisReport) {
     let n = ctx.model.num_vars();
     if report.pin_contradiction {
-        report.diagnostics.push(Diagnostic::new(
-            Code::ExactAuditSkipped,
-            "exact-audit",
-            Location::Model,
-            "skipped: pins contradict syntactically, so the pinned model does not \
-             represent the program"
+        return skip(
+            report,
+            "pins contradict syntactically, so the pinned model does not represent \
+             the program"
                 .to_string(),
-        ));
-        report.passes.push(PassResult {
-            pass: "exact-audit",
-            summary: "skipped (pin contradiction)".to_string(),
-        });
-        return;
+            "pin contradiction".to_string(),
+        );
     }
     if n > options.exact_audit_max_vars {
-        report.diagnostics.push(Diagnostic::new(
-            Code::ExactAuditSkipped,
-            "exact-audit",
-            Location::Model,
+        return skip(
+            report,
             format!(
-                "skipped: {} variables exceed the audit cap {}",
+                "{} variables exceed the audit cap {}",
                 n, options.exact_audit_max_vars
             ),
-        ));
-        report.passes.push(PassResult {
-            pass: "exact-audit",
-            summary: format!("skipped ({n} vars > cap {})", options.exact_audit_max_vars),
-        });
-        return;
+            format!("{n} vars > cap {}", options.exact_audit_max_vars),
+        );
     }
-
-    let (pinned, _) = pinned_fix_model(ctx);
+    let pinned = match pinned_fix_model(ctx) {
+        Ok((pinned, _)) => pinned,
+        Err((_, name)) => {
+            return skip(
+                report,
+                format!("substituting the pin on `{name}` overflows a coefficient"),
+                "pin overflow".to_string(),
+            )
+        }
+    };
     let solver = ExactSolver::new().with_max_vars(options.exact_audit_max_vars.max(n));
     let (min, minima) = solver.ground_states(&pinned, 1e-9);
     let mut mismatches = 0usize;
@@ -171,6 +167,21 @@ pub(crate) fn run(ctx: &Ctx<'_>, options: &AnalysisOptions, report: &mut Analysi
             checks,
             mismatches,
         ),
+    });
+}
+
+/// Reports the audit as skipped: `detail` in a QAC052 diagnostic,
+/// `reason` in the pass summary.
+fn skip(report: &mut AnalysisReport, detail: String, reason: String) {
+    report.diagnostics.push(Diagnostic::new(
+        Code::ExactAuditSkipped,
+        "exact-audit",
+        Location::Model,
+        format!("skipped: {detail}"),
+    ));
+    report.passes.push(PassResult {
+        pass: "exact-audit",
+        summary: format!("skipped ({reason})"),
     });
 }
 

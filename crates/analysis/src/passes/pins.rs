@@ -1,4 +1,4 @@
-//! Pass `pins`: pin/constant propagation (QAC001–QAC003).
+//! Pass `pins`: pin/constant propagation (QAC001–QAC004).
 //!
 //! Pins already propagate through `=`/`!=` chains because the assembler
 //! merged chained nets into single variables with parities — so two
@@ -10,6 +10,10 @@
 //! QMASM's `H_VCC`/`H_GND` encode constants), so pinning it the other
 //! way costs `2|h|` over the unpinned minimum (QAC002, Error — but not
 //! an UNSAT claim: the unpinned minimum is not known statically).
+//! Substituting a pin folds its variable's couplings into the
+//! neighbours' weights, which can overflow although every literal is
+//! finite (QAC004, Error; roof duality and the exact audit, which
+//! analyze the substituted model, then skip).
 
 use std::collections::BTreeMap;
 
@@ -61,6 +65,21 @@ pub(crate) fn run(ctx: &Ctx<'_>, _options: &AnalysisOptions, report: &mut Analys
                 ),
             ));
         }
+    }
+
+    // Substituting the pins, as roof duality and the exact audit do,
+    // folds each pinned variable's couplings into its neighbours'
+    // weights, which can overflow although every literal is finite.
+    if let Err((var, name)) = crate::pinned_fix_model(ctx) {
+        report.diagnostics.push(Diagnostic::new(
+            Code::PinOverflow,
+            "pins",
+            ctx.loc(var),
+            format!(
+                "substituting the pin on `{name}` overflows a weight or the offset \
+                 to a non-finite value"
+            ),
+        ));
     }
 
     let summary = if ctx.pins.is_empty() {

@@ -2,7 +2,7 @@
 //! proofs (QAC040–QAC041).
 //!
 //! Roof duality on the *pinned* model (pins substituted out with
-//! `fix_variable`) reports weak persistencies — variables whose value
+//! `try_fix_variable`) reports weak persistencies — variables whose value
 //! is already decided in some minimizer, i.e. qubits the compiler could
 //! elide (Pakin §4.4 uses SAPI's roof duality for exactly this). The
 //! dual lower bound doubles as an UNSAT prover: a valid execution must
@@ -21,7 +21,16 @@ use crate::{
 const BOUND_MARGIN: f64 = 1e-3;
 
 pub(crate) fn run(ctx: &Ctx<'_>, options: &AnalysisOptions, report: &mut AnalysisReport) {
-    let (pinned, pin_values) = pinned_fix_model(ctx);
+    let (pinned, pin_values) = match pinned_fix_model(ctx) {
+        Ok(fixed) => fixed,
+        Err((_, name)) => {
+            report.passes.push(PassResult {
+                pass: "roof-duality",
+                summary: format!("skipped (substituting the pin on `{name}` overflows)"),
+            });
+            return;
+        }
+    };
     let rd = roof_duality(&pinned);
     report.roof_lower_bound = Some(rd.lower_bound);
     report.roof_fixed = rd

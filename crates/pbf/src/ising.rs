@@ -391,23 +391,49 @@ impl Ising {
     /// Fixes variable `i` to `value`, folding its terms into offsets and
     /// linear coefficients of its neighbors, and zeroing its own entries.
     ///
-    /// Used by roof-duality elision and by pin handling.
+    /// # Panics
+    /// Panics if `i` is out of range or a folded coefficient is not
+    /// finite. Use [`Ising::try_fix_variable`] for a fallible variant.
     pub fn fix_variable(&mut self, i: usize, value: Spin) {
-        assert!(i < self.num_vars, "fix index in range");
-        let s = value.value();
-        let hi = std::mem::replace(&mut self.h[i], 0.0);
-        self.offset += hi * s;
-        let touching: Vec<(usize, usize)> = self
-            .j
-            .keys()
-            .copied()
-            .filter(|&(a, b)| a == i || b == i)
-            .collect();
-        for key in touching {
-            let v = self.j.remove(&key).unwrap();
-            let other = if key.0 == i { key.1 } else { key.0 };
-            self.h[other] += v * s;
+        self.try_fix_variable(i, value)
+            .expect("fixing leaves every coefficient finite");
+    }
+
+    /// Fallible version of [`Ising::fix_variable`], used by roof-duality
+    /// elision, pin handling and the static analyzer.
+    ///
+    /// # Errors
+    /// Returns [`PbfError::VariableOutOfRange`] if `i ≥ num_vars` and
+    /// [`PbfError::NonFiniteCoefficient`] when folding a term overflows
+    /// the offset or a neighbor's weight; the model is left unchanged.
+    pub fn try_fix_variable(&mut self, i: usize, value: Spin) -> Result<(), PbfError> {
+        if i >= self.num_vars {
+            return Err(PbfError::VariableOutOfRange {
+                index: i,
+                num_vars: self.num_vars,
+            });
         }
+        let s = value.value();
+        // Every fold is computed before any is stored, so a failure
+        // leaves the model as it was. Each neighbor has one coupling
+        // with i, so it receives exactly one fold.
+        let offset = finite_sum(self.offset, self.h[i] * s)?;
+        let folds = self
+            .j
+            .iter()
+            .filter(|(&(a, b), _)| a == i || b == i)
+            .map(|(&(a, b), &v)| {
+                let other = if a == i { b } else { a };
+                Ok(((a, b), other, finite_sum(self.h[other], v * s)?))
+            })
+            .collect::<Result<Vec<_>, PbfError>>()?;
+        self.offset = offset;
+        self.h[i] = 0.0;
+        for (key, other, h) in folds {
+            self.j.remove(&key);
+            self.h[other] = h;
+        }
+        Ok(())
     }
 
     /// Returns the variables that have any nonzero coefficient.
@@ -695,6 +721,28 @@ mod tests {
             let original = orig.energy(&[a, Spin::Up, c]);
             assert!((fixed - original).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn try_fix_variable_rejects_an_overflowing_fold_and_leaves_the_model() {
+        let mut m = Ising::new(3);
+        m.add_h(0, 1e308);
+        m.add_h(2, 0.5);
+        m.add_j(0, 1, 1e308);
+        m.add_j(1, 2, -1.0);
+        let orig = m.clone();
+        assert_eq!(
+            m.try_fix_variable(1, Spin::Up),
+            Err(PbfError::NonFiniteCoefficient(f64::INFINITY))
+        );
+        assert_eq!(m, orig);
+        // The other spin folds to 0 and -0.5 + 0.5: finite.
+        assert!(m.try_fix_variable(1, Spin::Down).is_ok());
+        assert_eq!((m.h(0), m.h(2), m.num_couplings()), (0.0, 1.5, 0));
+        assert!(matches!(
+            m.try_fix_variable(3, Spin::Up),
+            Err(PbfError::VariableOutOfRange { index: 3, .. })
+        ));
     }
 
     #[test]

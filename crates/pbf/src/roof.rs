@@ -12,7 +12,7 @@
 //!   (weak persistency) minimizer, determined from residual reachability.
 //!
 //! Fixed variables can then be substituted out of the model with
-//! [`Ising::fix_variable`], shrinking the qubit footprint.
+//! [`Ising::try_fix_variable`], shrinking the qubit footprint.
 
 use crate::flow::FlowNetwork;
 use crate::{Ising, Spin};
@@ -164,7 +164,9 @@ pub fn roof_duality(model: &Ising) -> RoofDuality {
 }
 
 /// Runs roof duality and substitutes every fixed variable out of `model`
-/// in place. Returns the `(variable, value)` pairs that were fixed.
+/// in place. Returns the `(variable, value)` pairs that were fixed. A
+/// variable whose substitution would overflow a coefficient is left in
+/// the model: eliding fewer variables is always sound.
 ///
 /// After this call the fixed variables are inert (zero coefficients); their
 /// contribution has been folded into the offset and neighbor fields, so the
@@ -175,11 +177,12 @@ pub fn apply_roof_duality(model: &mut Ising) -> Vec<(usize, Spin)> {
     let mut fixed = Vec::new();
     for (i, f) in rd.fixed.iter().enumerate() {
         if let Some(spin) = f {
-            model.fix_variable(i, *spin);
-            fixed.push((i, *spin));
+            if model.try_fix_variable(i, *spin).is_ok() {
+                fixed.push((i, *spin));
+            }
         }
     }
-    // `fix_variable` folds J terms into neighbor fields, but couplings
+    // `try_fix_variable` folds J terms into neighbor fields, but couplings
     // that had accumulated to exactly 0.0 (e.g. `add_j` cancellation)
     // stay behind as stored zero entries — dangling edges that inflate
     // `num_couplings`/`adjacency` degrees after the substitution.

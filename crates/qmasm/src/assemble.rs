@@ -241,13 +241,10 @@ impl Assembled {
                 PinStyle::Fix => {
                     // Folding the variable's couplings into its
                     // neighbours' weights (and its weight into the offset)
-                    // can overflow them; the couplings are only removed.
-                    model.fix_variable(var, target);
-                    let finite =
-                        model.offset().is_finite() && model.h_iter().all(|(_, h)| h.is_finite());
-                    if !finite {
-                        return Err(QmasmError::CoefficientOverflow(name));
-                    }
+                    // can overflow them.
+                    model
+                        .try_fix_variable(var, target)
+                        .map_err(|_| QmasmError::CoefficientOverflow(name))?;
                 }
             }
         }
@@ -280,7 +277,9 @@ const MAX_MACRO_DEPTH: usize = 64;
 /// [`QmasmError::ChainContradiction`] when `=`/`!=` chains conflict,
 /// [`QmasmError::BadAssert`] for unparsable assertions, and
 /// [`QmasmError::CoefficientOverflow`] when the coefficients on one term
-/// (chain couplings included) add up to a non-finite value.
+/// (chain couplings included) add up to a non-finite value, or when the
+/// default chain strength, twice the strongest coupling `a b`, does
+/// (the term is then `chain strength 2 × |a b|`).
 pub fn assemble(program: &Program, options: &AssembleOptions) -> Result<Assembled, QmasmError> {
     // --- Macro expansion to a flat statement list. ---
     let mut flat: Vec<Statement> = Vec::new();
@@ -311,13 +310,14 @@ pub fn assemble(program: &Program, options: &AssembleOptions) -> Result<Assemble
     }
 
     // --- Chain strength (qmasm default: 2 × max |J| in the code). ---
-    let max_j = flat
+    let strongest = flat
         .iter()
         .filter_map(|s| match s {
-            Statement::Coupling { value, .. } => Some(value.abs()),
+            Statement::Coupling { a, b, value } => Some((a, b, value.abs())),
             _ => None,
         })
-        .fold(0.0f64, f64::max);
+        .max_by(|x, y| x.2.total_cmp(&y.2));
+    let max_j = strongest.map_or(0.0, |(_, _, j)| j);
     let chain_strength = options.chain_strength.unwrap_or((2.0 * max_j).max(1.0));
 
     // --- Chain handling. ---
@@ -364,6 +364,17 @@ pub fn assemble(program: &Program, options: &AssembleOptions) -> Result<Assemble
             }
             _ => {}
         }
+    }
+    // The default strength doubles the strongest coupling, so it is
+    // infinite when that coupling exceeds f64::MAX / 2. Every later use
+    // (unmerged chains here, the run path's pin weight) would then blame
+    // an innocent term, so name the strength and the coupling that set
+    // it. A term whose own sum overflows was already reported above.
+    if options.chain_strength.is_none() && !chain_strength.is_finite() {
+        let (a, b, _) = strongest.expect("only a coupling raises the default above 1");
+        return Err(QmasmError::CoefficientOverflow(format!(
+            "chain strength 2 × |{a} {b}|"
+        )));
     }
     // Unmerged chains become explicit couplings.
     let mut num_chain_couplings = 0usize;

@@ -3,9 +3,12 @@
 //! `QmasmError::Parse` errors carrying their line, inside a macro body
 //! or outside one; finite coefficients whose sum on one term overflows
 //! are typed `QmasmError::CoefficientOverflow` errors naming the term,
-//! in the assembler and in pin realization; and no single-character
-//! deletion of Figure 2's QMASM panics the parser or the assembler.
+//! in the assembler (the default chain strength included) and in pin
+//! realization; the static analyzer reports a pin whose substitution
+//! overflows as QAC004; and no single-character deletion of Figure 2's
+//! QMASM panics the parser or the assembler.
 
+use qac::analysis::{analyze_assembled, AnalysisOptions, Code};
 use qac::core::{compile, CompileOptions};
 use qac::qmasm::{
     assemble, parse, AssembleOptions, Assembled, MapIncludes, NoIncludes, PinStyle, QmasmError,
@@ -108,8 +111,9 @@ fn finite_coefficients_whose_sum_overflows_are_errors_naming_the_term() {
         let result = assemble_source(source);
         assert!(is_overflow_of(&result, term), "{source:?} gave {result:?}");
     }
-    // An unmerged chain's coupling defaults to twice the largest
-    // strength, which overflows here.
+    // The default chain strength is twice the largest coupling, which
+    // overflows here: the error names the strength and that coupling,
+    // not the unmerged chain it would have weighted.
     let unmerged = AssembleOptions {
         merge_chains: false,
         ..Default::default()
@@ -118,7 +122,19 @@ fn finite_coefficients_whose_sum_overflows_are_errors_naming_the_term() {
         &parse("a = b\nc d 1e308\n", &NoIncludes).unwrap(),
         &unmerged,
     );
-    assert!(is_overflow_of(&result, "a b"), "{result:?}");
+    assert!(
+        is_overflow_of(&result, "chain strength 2 × |c d|"),
+        "{result:?}"
+    );
+    // With merged chains (or none) the strength is still the run path's
+    // default pin weight, so it is rejected where it is made rather
+    // than blamed on the pin later.
+    let result = assemble_source("a b 1e308\nc 1\n");
+    assert!(
+        is_overflow_of(&result, "chain strength 2 × |a b|"),
+        "{result:?}"
+    );
+    assert!(assemble_source("a b 8e307\nc 1\n").is_ok());
     // A pin bias that overflows the weight on its variable.
     let assembled = assemble_source("a 1e308\n").unwrap();
     let result = assembled.pinned_model(&[("a".to_string(), false)], PinStyle::Bias(1e308));
@@ -126,13 +142,40 @@ fn finite_coefficients_whose_sum_overflows_are_errors_naming_the_term() {
     assert!(assembled
         .pinned_model(&[("a".to_string(), true)], PinStyle::Bias(1e308))
         .is_ok());
-    // A fixed pin folds its coupling into the neighbour's weight.
-    let assembled = assemble_source("b 1e308\na b 1e308\n").unwrap();
+    // A fixed pin folds its coupling into the neighbour's weight (the
+    // coupling stays below 9e307, or the chain strength would overflow).
+    let assembled = assemble_source("b 1.7e308\na b 8e307\n").unwrap();
     let result = assembled.pinned_model(&[("a".to_string(), true)], PinStyle::Fix);
     assert!(is_overflow_of(&result, "a"), "{result:?}");
     assert!(assembled
         .pinned_model(&[("a".to_string(), false)], PinStyle::Fix)
         .is_ok());
+}
+
+#[test]
+fn the_analyzer_reports_a_pin_whose_substitution_overflows() {
+    // Fixing `a` to 1 folds `a b` into b's weight: 1.7e308 + 8e307.
+    let assembled = assemble_source("b 1.7e308\na b 8e307\na := 1\n").unwrap();
+    let report = analyze_assembled(&assembled, None, &AnalysisOptions::default());
+    let overflow: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == Code::PinOverflow)
+        .collect();
+    assert_eq!(overflow.len(), 1, "{}", report.render());
+    assert!(
+        overflow[0].message.contains("pin on `a`"),
+        "{}",
+        overflow[0]
+    );
+    assert!(report.diagnostics.has_errors());
+    // Neither roof duality nor the exact audit analyzes an infinite model.
+    assert_eq!(report.roof_lower_bound, None);
+    // The other value folds to a finite weight and analyzes cleanly.
+    let assembled = assemble_source("b 1.7e308\na b 8e307\na := 0\n").unwrap();
+    let report = analyze_assembled(&assembled, None, &AnalysisOptions::default());
+    assert!(!report.diagnostics.has_errors(), "{}", report.render());
+    assert!(report.roof_lower_bound.is_some_and(f64::is_finite));
 }
 
 #[test]
