@@ -10,7 +10,7 @@ use qac_bench::workloads::{compile_workload, AUSTRALIA, MULT};
 use qac_chimera::{EmbeddingCache, Topology};
 use qac_core::{compile, CompileOptions, RunOptions, SolverChoice};
 use qac_pbf::Ising;
-use qac_solvers::{BitParallelSa, DWaveSim, DWaveSimOptions, Sampler, Sqa, TabuSearch};
+use qac_solvers::{BitParallelSa, DWaveSim, DWaveSimOptions, Sampler, TabuSearch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,10 +49,6 @@ fn bench_samplers(c: &mut Criterion) {
     c.bench_function("tabu_96vars_10reads", |b| {
         let sampler = TabuSearch::new(1);
         b.iter(|| std::hint::black_box(sampler.sample(&model, 10)))
-    });
-    c.bench_function("sqa_96vars_5reads", |b| {
-        let sampler = Sqa::new(1).with_sweeps(64).with_slices(8);
-        b.iter(|| std::hint::black_box(sampler.sample(&model, 5)))
     });
 
     // Compiled programs run through the public run path with the

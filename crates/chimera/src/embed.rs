@@ -968,10 +968,22 @@ fn route_one(
         // prove every OTHER node's total exceeds best + tie-tolerance.
         // Per-layer certified level C_i lower-bounds any dist that layer
         // has not finalized, and every candidate's own weight is
-        // ≥ pow[0] = 1 exactly, so:
-        //   · finalized nowhere:  total > 1 + Σ C_i          (global check)
-        //   · finalized in S ⊊ layers:
-        //       total ≥ w(g) + Σ_S dist_i(g) + Σ_∉S C_i      (per-node audit)
+        // ≥ pow[0] = 1 exactly, so a node finalized in S ⊊ layers has
+        //   total ≥ w(g) + Σ_S dist_i(g) + Σ_∉S C_i          (per-node audit)
+        // Nodes finalized in no layer need no check of their own. Every
+        // target is ≥ DEEPEN_STEP > 0, so each layer has finalized its
+        // chain and every node at distance 0 (a chain's neighbors). Take
+        // a node g finalized in no layer with total(g) ≤ best + 1e-9 and
+        // layer 0's shortest path to g; let x be its last node finalized
+        // in layer 0. x is not a chain node (the path's next node would sit at
+        // distance 0 and be final), so dist_0(x) + w(x) ≤ dist_0(g). In
+        // every other layer i, x is either unfinalized (counted at C_i)
+        // or final at dist_i(x) ≤ C_i, and C_i ≤ dist_i(g) since g is
+        // unfinalized. Hence x's audit bound (its exact total, if x is
+        // final everywhere) is ≤ total(g) − w(g) ≤ best + 1e-9 − 1: a
+        // partly final x fails the audit and escalates, and an all-final
+        // x would undercut `best`, which is impossible. So once the
+        // audit passes, no node finalized nowhere is competitive.
         // Margins are conservative: auditing against best + 1e-9 and
         // escalating to cover best + 2e-9 can only delay certification
         // (the tie tolerance is 1e-12), never admit a wrong tie list.
@@ -983,15 +995,6 @@ fn route_one(
         let best = min_total;
         let cap = best - 1.0 + 2e-9;
         let mut escalated = false;
-        let sum_c: f64 = certs.iter().sum();
-        if 1.0 + sum_c <= best + 1e-9 {
-            // Global deficit: spread it over the layers (all live, or
-            // the infinite level of an exhausted one would pass).
-            let share = (best + 2e-9 - 1.0 - sum_c) / k as f64;
-            for i in 0..k {
-                escalated |= raise_target(&mut targets[i], certs[i] + share, certs[i], cap);
-            }
-        }
         // Audit nodes finalized in some layers but not all: walk
         // (∪ fin) \ (∩ fin) and escalate exactly the layers that fail to
         // prove a node uncompetitive. A node's bound only rises as layers
@@ -1529,6 +1532,53 @@ mod tests {
                 checked.contested > 0 && checked.calls > checked.contested,
                 "{name}: too few states checked ({checked:?})"
             );
+        }
+        // Inputs on which the global bound "a node finalized in no layer
+        // costs at least 1 + Σ C_i" asks some layer to deepen past what
+        // the per-node audit asks for, with k ≥ 3 layers (4 and 2 such
+        // escalations). `route_one` certifies those nodes by the per-node
+        // audit alone (its comment has the proof); these cases pin the
+        // tie lists where the two differ. Row i lists the neighbors
+        // j > i of variable i.
+        let deficit_cases: [(&str, HardwareGraph, &[&[usize]], u64); 2] = [
+            (
+                "chimera C2",
+                Chimera::new(2).graph(),
+                &[
+                    &[1, 2, 4, 5, 7],
+                    &[2, 3, 4, 7, 9],
+                    &[3, 4, 5, 8, 9],
+                    &[5],
+                    &[6, 7, 8, 9],
+                    &[6, 7, 8, 9],
+                    &[7, 9],
+                    &[8],
+                    &[9],
+                    &[],
+                ],
+                6,
+            ),
+            (
+                "king 6x6",
+                KingGraph::new(6).graph(),
+                &[&[2, 3, 4, 5], &[4, 5], &[3, 4, 5], &[5], &[5], &[]],
+                25,
+            ),
+        ];
+        for (name, hardware, rows, seed) in &deficit_cases {
+            let edges: Vec<(usize, usize)> = rows
+                .iter()
+                .enumerate()
+                .flat_map(|(i, row)| row.iter().map(move |&j| (i, j)))
+                .collect();
+            let options = EmbedOptions {
+                tries: 2,
+                ..opts(*seed)
+            };
+            let (_, tally) = oracle::enabled(|| {
+                find_embedding_with_stats(&edges, rows.len(), hardware, &options)
+            });
+            assert!(tally.calls > 0, "{name}: no root search checked");
         }
     }
 

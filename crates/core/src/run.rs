@@ -11,8 +11,7 @@ use qac_pbf::{Ising, Spin};
 use qac_qmasm::pin::parse_pins;
 use qac_qmasm::Solution;
 use qac_solvers::{
-    BitParallelSa, DWaveSim, DWaveSimOptions, ExactSolver, ParallelTempering, PopulationAnnealing,
-    QbsolvStyle, SampleSet, Sampler, Sqa, TabuSearch,
+    BitParallelSa, DWaveSim, DWaveSimOptions, ExactSolver, SampleSet, Sampler, TabuSearch,
 };
 
 use qac_telemetry::Trace;
@@ -30,32 +29,8 @@ pub enum SolverChoice {
         /// Sweeps per read.
         sweeps: usize,
     },
-    /// Parallel tempering on the packed-lane kernel.
-    ParallelTempering {
-        /// Sweeps per read.
-        sweeps: usize,
-        /// Temperature-ladder size (clamped to 2..=64 by the sampler).
-        rungs: usize,
-    },
-    /// Population annealing on the packed-lane kernel.
-    PopulationAnnealing {
-        /// Sweeps per read.
-        sweeps: usize,
-    },
-    /// Path-integral simulated quantum annealing.
-    Sqa {
-        /// Sweeps per read.
-        sweeps: usize,
-        /// Trotter slices.
-        slices: usize,
-    },
     /// Tabu search.
     Tabu,
-    /// qbsolv-style decomposition with the given subproblem size.
-    Qbsolv {
-        /// Subproblem variable budget.
-        subproblem: usize,
-    },
     /// The full hardware model: scale, embed on Chimera, distort, sample.
     DWave(Box<DWaveSimOptions>),
 }
@@ -316,21 +291,7 @@ fn sample(
         SolverChoice::Sa { sweeps } => BitParallelSa::new(seed)
             .with_sweeps(*sweeps)
             .sample(model, num_reads),
-        SolverChoice::ParallelTempering { sweeps, rungs } => ParallelTempering::new(seed)
-            .with_sweeps(*sweeps)
-            .with_rungs(*rungs)
-            .sample(model, num_reads),
-        SolverChoice::PopulationAnnealing { sweeps } => PopulationAnnealing::new(seed)
-            .with_sweeps(*sweeps)
-            .sample(model, num_reads),
-        SolverChoice::Sqa { sweeps, slices } => Sqa::new(seed)
-            .with_sweeps(*sweeps)
-            .with_slices(*slices)
-            .sample(model, num_reads),
         SolverChoice::Tabu => TabuSearch::new(seed).sample(model, num_reads),
-        SolverChoice::Qbsolv { subproblem } => QbsolvStyle::new(seed)
-            .with_subproblem_size(*subproblem)
-            .sample(model, num_reads),
         SolverChoice::DWave(sim_options) => {
             let result = DWaveSim::new((**sim_options).clone()).run(model, num_reads)?;
             let hardware = HardwareStats {
@@ -684,32 +645,6 @@ mod tests {
         let best = outcome.best().unwrap();
         assert!(best.valid);
         assert_eq!(best.values.get("c"), Some(2));
-    }
-
-    #[test]
-    fn bit_parallel_solver_choices_find_valid_solutions() {
-        // Tempering and population annealing share SA's packed-lane
-        // kernel: each must decode a valid 1+1=2 execution like SA does.
-        let program = compiled();
-        for solver in [
-            SolverChoice::ParallelTempering {
-                sweeps: 200,
-                rungs: 8,
-            },
-            SolverChoice::PopulationAnnealing { sweeps: 200 },
-        ] {
-            let run = RunOptions::new()
-                .pin("s := 1")
-                .pin("a := 1")
-                .pin("b := 1")
-                .solver(solver.clone())
-                .num_reads(30);
-            let outcome = program.run(&run).unwrap();
-            assert!(outcome.valid_fraction() > 0.0, "{solver:?}");
-            let best = outcome.best().unwrap();
-            assert!(best.valid, "{solver:?}");
-            assert_eq!(best.values.get("c"), Some(2), "{solver:?}");
-        }
     }
 
     #[test]

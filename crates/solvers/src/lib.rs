@@ -10,16 +10,8 @@
 //! * [`BitParallelSa`] — multi-read Metropolis simulated annealing with
 //!   a geometric β schedule, 64 replicas packed per machine word
 //!   (multi-spin coding) and words spread across threads;
-//! * [`ParallelTempering`] — replica exchange across a fixed geometric
-//!   temperature ladder on the packed-lane kernel;
-//! * [`PopulationAnnealing`] — annealing with Boltzmann-weight
-//!   systematic resampling on the packed-lane kernel;
-//! * [`Sqa`] — simulated *quantum* annealing by path-integral Monte Carlo
-//!   (the approach of Hitachi's annealer the paper cites);
 //! * [`TabuSearch`] — deterministic local search with a tabu list, the
 //!   core move of D-Wave's classical `qbsolv`;
-//! * [`QbsolvStyle`] — qbsolv-style decomposition: splits problems larger
-//!   than a sub-solver budget into impact-selected subproblems;
 //! * [`DWaveSim`] — an end-to-end hardware model: minor embedding onto
 //!   any [`TopologySpec`] fabric (Chimera by default, as in the paper),
 //!   coefficient scaling and quantization, analog noise, stochastic
@@ -53,21 +45,14 @@ mod chain_block;
 mod dwave_sim;
 mod exact;
 mod multispin;
-mod qbsolv;
 mod sample;
-mod sqa;
 mod tabu;
 
 pub use dwave_sim::{DWaveSim, DWaveSimOptions, DWaveSimResult, PhysicalAnnealer, TimingModel};
 // Re-exported so DWaveSimOptions call sites can name a fabric without
 // depending on qac-chimera directly.
 pub use exact::ExactSolver;
-pub use multispin::{
-    lane_seed, pa_resample_seed, pt_swap_seed, BitParallelSa, PaStats, ParallelTempering,
-    PopulationAnnealing, PtStats, LANE_SEED_SALT, PA_RESAMPLE_SEED_SALT, PT_SWAP_SEED_SALT,
-};
+pub use multispin::BitParallelSa;
 pub use qac_chimera::{Topology, TopologySpec};
-pub use qbsolv::QbsolvStyle;
 pub use sample::{Sample, SampleSet, Sampler};
-pub use sqa::Sqa;
 pub use tabu::TabuSearch;

@@ -14,16 +14,12 @@
 //!    multiple of 64 leave inactive lanes in the top bits. Those lanes
 //!    must never leak into results (1, 63, 64, 65 variables; 0, 1, and
 //!    odd read counts).
-//! 3. **Parallel-tempering sanity** — the deterministic swap schedule
-//!    must actually exchange temperatures (nonzero accepted swaps on a
-//!    frustrated model), must not depend on thread count, and must not
-//!    make the sampler *worse* than plain SA at an equal sweep budget.
+//! 3. **Thread invariance** — words are annealed on worker threads, so
+//!    the sample distribution must not depend on the thread count.
 
 use proptest::prelude::*;
 use qac_pbf::Ising;
-use qac_solvers::{
-    BitParallelSa, ExactSolver, ParallelTempering, PopulationAnnealing, SampleSet, Sampler,
-};
+use qac_solvers::{BitParallelSa, SampleSet, Sampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,63 +107,48 @@ fn partial_words_mask_inactive_lanes() {
     for n in [1usize, 63, 64, 65] {
         let model = chain(n);
         let ground = if n == 1 { -0.1 } else { chain_ground(n) };
-        let samplers: [(&str, Box<dyn Sampler>); 3] = [
-            ("sa", Box::new(BitParallelSa::new(5).with_sweeps(80))),
-            ("pt", Box::new(ParallelTempering::new(5).with_sweeps(80))),
-            ("pa", Box::new(PopulationAnnealing::new(5).with_sweeps(80))),
-        ];
-        for (name, sampler) in samplers {
-            for num_reads in [1usize, 5, 63, 65] {
-                let set = sampler.sample(&model, num_reads);
-                assert_eq!(
-                    set.total_reads(),
-                    num_reads,
-                    "{name} lost reads at n={n}, num_reads={num_reads}"
-                );
-                for s in set.iter() {
-                    assert_eq!(s.spins.len(), n, "{name} wrong spin count at n={n}");
-                    let recomputed = model.energy(&s.spins);
-                    assert!(
-                        (s.energy - recomputed).abs() < 1e-6,
-                        "{name} reported energy {} but the model evaluates to \
-                         {recomputed} at n={n}",
-                        s.energy
-                    );
-                    assert!(
-                        s.energy >= ground - 1e-6,
-                        "{name} reported energy {} below the ground {ground} at n={n}",
-                        s.energy
-                    );
-                }
-                let best = set.best().expect("nonzero reads produce samples").energy;
+        let sampler = BitParallelSa::new(5).with_sweeps(80);
+        for num_reads in [1usize, 5, 63, 65] {
+            let set = sampler.sample(&model, num_reads);
+            assert_eq!(
+                set.total_reads(),
+                num_reads,
+                "lost reads at n={n}, num_reads={num_reads}"
+            );
+            for s in set.iter() {
+                assert_eq!(s.spins.len(), n, "wrong spin count at n={n}");
+                let recomputed = model.energy(&s.spins);
                 assert!(
-                    (best - ground).abs() < 1e-6,
-                    "{name} missed the trivial chain ground at n={n}: \
-                     best {best}, ground {ground}"
+                    (s.energy - recomputed).abs() < 1e-6,
+                    "reported energy {} but the model evaluates to \
+                     {recomputed} at n={n}",
+                    s.energy
+                );
+                assert!(
+                    s.energy >= ground - 1e-6,
+                    "reported energy {} below the ground {ground} at n={n}",
+                    s.energy
                 );
             }
+            let best = set.best().expect("nonzero reads produce samples").energy;
+            assert!(
+                (best - ground).abs() < 1e-6,
+                "missed the trivial chain ground at n={n}: \
+                 best {best}, ground {ground}"
+            );
         }
     }
 }
 
 #[test]
 fn zero_reads_yield_empty_sets() {
-    let model = chain(7);
-    let samplers: [Box<dyn Sampler>; 3] = [
-        Box::new(BitParallelSa::new(3)),
-        Box::new(ParallelTempering::new(3)),
-        Box::new(PopulationAnnealing::new(3)),
-    ];
-    for sampler in samplers {
-        let set = sampler.sample(&model, 0);
-        assert!(set.is_empty());
-        assert_eq!(set.total_reads(), 0);
-    }
+    let set = BitParallelSa::new(3).sample(&chain(7), 0);
+    assert!(set.is_empty());
+    assert_eq!(set.total_reads(), 0);
 }
 
 /// A fixed frustrated 12-variable spin glass: dense couplings of mixed
-/// sign so adjacent-temperature exchanges are genuinely useful (and the
-/// swap acceptance test cannot pass vacuously on a trivial landscape).
+/// sign, so annealing runs on a rugged landscape.
 fn frustrated_12() -> Ising {
     let mut rng = StdRng::seed_from_u64(0xf2a5);
     let n = 12;
@@ -184,94 +165,21 @@ fn frustrated_12() -> Ising {
 }
 
 #[test]
-fn pt_swaps_are_active_and_thread_invariant() {
+fn sa_is_thread_invariant() {
+    // 130 reads = two full words plus a partial third, so the threaded
+    // path splits work across a ragged word count.
     let model = frustrated_12();
-    let pt = ParallelTempering::new(9).with_sweeps(64);
-    let (set_1, stats_1) = pt.clone().with_threads(1).sample_with_stats(&model, 64);
-    let (set_8, stats_8) = pt.with_threads(8).sample_with_stats(&model, 64);
-
+    let one = BitParallelSa::new(21)
+        .with_sweeps(48)
+        .with_threads(1)
+        .sample(&model, 130);
+    let eight = BitParallelSa::new(21)
+        .with_sweeps(48)
+        .with_threads(8)
+        .sample(&model, 130);
     assert_eq!(
-        encode(&set_1),
-        encode(&set_8),
-        "PT sample distribution depends on thread count"
+        encode(&one),
+        encode(&eight),
+        "sa distribution depends on thread count"
     );
-    assert_eq!(
-        stats_1, stats_8,
-        "PT swap statistics depend on thread count"
-    );
-    assert!(
-        stats_1.swap_attempts > 0,
-        "the swap schedule never fired on a 64-sweep run"
-    );
-    assert!(
-        stats_1.swap_accepts > 0,
-        "no swap was ever accepted on a frustrated model — the exchange \
-         criterion or the ladder is broken"
-    );
-    assert!(
-        stats_1.swap_accepts <= stats_1.swap_attempts,
-        "accepted more swaps than attempted"
-    );
-    assert!(stats_1.flips > 0, "a 64-sweep anneal accepted no flips");
-}
-
-#[test]
-fn pt_is_no_worse_than_sa_at_equal_sweeps() {
-    let model = frustrated_12();
-    let ground = ExactSolver::new().minimum_energy(&model);
-    let sweeps = 64;
-    let reads = 64;
-
-    let pt_set = ParallelTempering::new(9)
-        .with_sweeps(sweeps)
-        .sample(&model, reads);
-    let sa_set = BitParallelSa::new(9)
-        .with_sweeps(sweeps)
-        .sample(&model, reads);
-
-    let pt_best = pt_set.best().expect("pt produced samples").energy;
-    assert!(
-        (pt_best - ground).abs() < 1e-6,
-        "PT missed the exact ground {ground} (best {pt_best})"
-    );
-    let pt_ground = pt_set.ground_fraction(1e-6);
-    let sa_ground = sa_set.ground_fraction(1e-6);
-    assert!(
-        pt_ground >= sa_ground,
-        "PT reached the ground on {:.0}% of reads but SA managed \
-         {:.0}% at the same sweep budget",
-        pt_ground * 100.0,
-        sa_ground * 100.0
-    );
-}
-
-#[test]
-fn all_packed_samplers_are_thread_invariant() {
-    let model = frustrated_12();
-    type MakeSampler = Box<dyn Fn(usize) -> Box<dyn Sampler>>;
-    let cases: [(&str, MakeSampler); 3] = [
-        (
-            "sa",
-            Box::new(|t| Box::new(BitParallelSa::new(21).with_sweeps(48).with_threads(t))),
-        ),
-        (
-            "pt",
-            Box::new(|t| Box::new(ParallelTempering::new(22).with_sweeps(48).with_threads(t))),
-        ),
-        (
-            "pa",
-            Box::new(|t| Box::new(PopulationAnnealing::new(23).with_sweeps(48).with_threads(t))),
-        ),
-    ];
-    for (name, make) in cases {
-        // 130 reads = two full words plus a partial third, so the
-        // threaded paths split work across a ragged word count.
-        let one = make(1).sample(&model, 130);
-        let eight = make(8).sample(&model, 130);
-        assert_eq!(
-            encode(&one),
-            encode(&eight),
-            "{name} distribution depends on thread count"
-        );
-    }
 }
